@@ -22,10 +22,11 @@
 // Environment knobs: ICC_SCALE_NODES (comma list, default 100,1000,10000),
 // ICC_SCALE_TIME (default 20 s), ICC_SCALE_RUNS (default 1),
 // ICC_SCALE_THREADS (comma list of executive worker counts, default
-// 1,2,4,8; empty string = serial engines only), ICC_SCALE_BRUTE_MAX
-// (default 1000 — the brute cell is skipped for larger N, where the O(N^2)
-// scan would dominate the sweep's wall time), ICC_THREADS (keep the
-// default 1 when the wall-clock numbers matter), ICC_JSON.
+// 1,2,4,8, also when set empty; a lone "," = serial engines only),
+// ICC_SCALE_BRUTE_MAX (default 1000 — the brute cell is skipped for larger
+// N, where the O(N^2) scan would dominate the sweep's wall time),
+// ICC_THREADS (keep the default 1 when the wall-clock numbers matter),
+// ICC_JSON.
 // The committed bench/BENCH_scale.json is this bench's ICC_JSON report at
 // the defaults — the perf trajectory baseline for future PRs.
 #include <cmath>

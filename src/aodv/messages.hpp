@@ -3,6 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +26,10 @@ struct RreqMsg final : sim::PayloadBase<RreqMsg> {
   bool dest_seq_known{false};
   std::uint32_t hop_count{0};
   static constexpr std::uint32_t kWireSize = 24;
+  static auto fields(auto& m) {
+    return std::tie(m.orig, m.rreq_id, m.orig_seq, m.dest, m.dest_seq, m.dest_seq_known,
+                    m.hop_count);
+  }
 };
 
 /// Route reply, unicast hop-by-hop back along the reverse path. The
@@ -34,35 +41,22 @@ struct RrepMsg final : sim::PayloadBase<RrepMsg> {
   sim::NodeId orig{sim::kNoNode};   ///< route requester the reply travels to
   std::uint32_t hop_count{0};
   static constexpr std::uint32_t kWireSize = 20;
+  static auto fields(auto& m) { return std::tie(m.dest, m.dest_seq, m.orig, m.hop_count); }
 
   /// Canonical byte form used as the inner-circle voting value; the chosen
   /// next hop rides along so on_agreed can identify the designated receiver.
   [[nodiscard]] static std::vector<std::uint8_t> wire_encode(const RrepMsg& rrep,
                                                              sim::NodeId next_hop) {
-    core::WireWriter w;
-    w.u32(rrep.dest);
-    w.u32(rrep.dest_seq);
-    w.u32(rrep.orig);
-    w.u32(rrep.hop_count);
-    w.u32(next_hop);
-    return std::move(w).take();
+    return core::to_bytes(std::forward_as_tuple(fields(rrep), next_hop));
   }
 
   [[nodiscard]] static std::optional<std::pair<RrepMsg, sim::NodeId>> wire_decode(
       std::span<const std::uint8_t> bytes) {
-    core::WireReader r{bytes};
-    RrepMsg m;
-    const auto dest = r.u32();
-    const auto dest_seq = r.u32();
-    const auto orig = r.u32();
-    const auto hops = r.u32();
-    const auto next_hop = r.u32();
-    if (!dest || !dest_seq || !orig || !hops || !next_hop || !r.done()) return std::nullopt;
-    m.dest = *dest;
-    m.dest_seq = *dest_seq;
-    m.orig = *orig;
-    m.hop_count = *hops;
-    return std::make_pair(m, *next_hop);
+    std::pair<RrepMsg, sim::NodeId> out;
+    if (!core::from_bytes(bytes, std::forward_as_tuple(fields(out.first), out.second))) {
+      return std::nullopt;
+    }
+    return out;
   }
 };
 
@@ -70,6 +64,7 @@ struct RrepMsg final : sim::PayloadBase<RrepMsg> {
 struct RerrMsg final : sim::PayloadBase<RerrMsg> {
   static constexpr const char* kTag = "aodv.rerr";
   std::vector<std::pair<sim::NodeId, std::uint32_t>> unreachable;  ///< (dest, seq)
+  static auto fields(auto& m) { return std::tie(m.unreachable); }
   [[nodiscard]] std::uint32_t wire_size() const {
     return static_cast<std::uint32_t>(8 + 8 * unreachable.size());
   }
@@ -83,6 +78,7 @@ struct DataMsg final : sim::PayloadBase<DataMsg> {
   std::uint64_t app_uid{0};
   std::uint32_t app_bytes{512};
   sim::Time sent_at{0.0};  ///< origination time (latency accounting only)
+  static auto fields(auto& m) { return std::tie(m.app_uid, m.app_bytes, m.sent_at); }
 };
 
 }  // namespace icc::aodv

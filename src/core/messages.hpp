@@ -2,7 +2,11 @@
 // canonical byte strings they sign.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/wire.hpp"
@@ -21,6 +25,8 @@ using Value = std::vector<std::uint8_t>;
 
 /// Which IVS algorithm a round runs (Fig 3).
 enum class VotingMode : std::uint8_t { kDeterministic = 0, kStatistical = 1 };
+template <>
+inline constexpr std::size_t kWireEnumCount<VotingMode> = 2;
 
 // --------------------------------------------------------------------- STS
 
@@ -36,6 +42,9 @@ struct StsBeacon final : sim::PayloadBase<StsBeacon> {
   sim::Vec2 pos;
   std::vector<sim::NodeId> neighbors;
   std::vector<crypto::Digest> tags;
+  static auto fields(auto& m) {
+    return std::tie(m.origin, m.seq, m.pos.x, m.pos.y, m.neighbors, m.tags);
+  }
 
   /// The beacon content covered by each per-neighbor tag.
   [[nodiscard]] static std::vector<std::uint8_t> auth_bytes(
@@ -59,6 +68,7 @@ struct NslMsg final : sim::PayloadBase<NslMsg> {
   static constexpr const char* kTag = "sts.nsl";
   int phase{0};
   crypto::Ciphertext ct;
+  static auto fields(auto& m) { return std::tie(m.phase, m.ct.to, m.ct.data); }
 };
 
 // --------------------------------------------------------------------- IVS
@@ -72,6 +82,7 @@ struct SolicitMsg final : sim::PayloadBase<SolicitMsg> {
   int level{1};
   int ttl{1};  ///< remaining relay hops (2 for two-hop inner circles, §3)
   Value topic;
+  static auto fields(auto& m) { return std::tie(m.center, m.round, m.level, m.ttl, m.topic); }
 };
 
 /// Statistical voting, step 2: a participant's observation, individually
@@ -83,6 +94,7 @@ struct ValueMsg final : sim::PayloadBase<ValueMsg> {
   std::uint64_t round{0};
   Value value;
   std::vector<std::uint8_t> sig;  ///< PKI signature over value_bytes(...)
+  static auto fields(auto& m) { return std::tie(m.sender, m.center, m.round, m.value, m.sig); }
   [[nodiscard]] static std::vector<std::uint8_t> value_bytes(sim::NodeId center,
                                                              std::uint64_t round,
                                                              sim::NodeId sender,
@@ -108,6 +120,10 @@ struct ProposeMsg final : sim::PayloadBase<ProposeMsg> {
   Value value;
   std::vector<ValueMsg> evidence;      ///< statistical only; includes center's own
   std::vector<std::uint8_t> center_sig;  ///< PKI signature (conviction evidence)
+  static auto fields(auto& m) {
+    return std::tie(m.center, m.round, m.level, m.ttl, m.mode, m.value, m.evidence,
+                    m.center_sig);
+  }
   [[nodiscard]] static std::vector<std::uint8_t> propose_bytes(sim::NodeId center,
                                                                std::uint64_t round, int level,
                                                                VotingMode mode,
@@ -130,6 +146,9 @@ struct AckMsg final : sim::PayloadBase<AckMsg> {
   sim::NodeId center{sim::kNoNode};  ///< routing target (relayed in 2-hop circles)
   std::uint64_t round{0};
   crypto::PartialSig psig;
+  static auto fields(auto& m) {
+    return std::tie(m.sender, m.center, m.round, m.psig.signer, m.psig.level, m.psig.data);
+  }
 };
 
 /// The self-checking output of a completed round (§3): value + combined
@@ -143,6 +162,17 @@ struct AgreedMsg final : sim::PayloadBase<AgreedMsg> {
   int ttl{1};  ///< transient relay budget; NOT part of the signed content
   Value value;
   crypto::ThresholdSignature sig;
+  /// The wire-frame body. ttl is transient relay state, but a frame is a
+  /// snapshot in flight: the receiver must see the ttl the sender put on
+  /// this hop.
+  static auto fields(auto& m) {
+    return std::tie(m.source, m.round, m.level, m.ttl, m.value, m.sig.level, m.sig.data);
+  }
+  /// The embedded form (serialize/deserialize): signed content plus the
+  /// signature, without the per-hop ttl.
+  static auto embedded_fields(auto& m) {
+    return std::tie(m.source, m.round, m.level, m.value, m.sig.level, m.sig.data);
+  }
   /// The bytes covered by the threshold signature.
   [[nodiscard]] static std::vector<std::uint8_t> signed_bytes(sim::NodeId source,
                                                               std::uint64_t round, int level,
@@ -156,33 +186,13 @@ struct AgreedMsg final : sim::PayloadBase<AgreedMsg> {
   }
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
-    WireWriter w;
-    w.u32(source);
-    w.u64(round);
-    w.u32(static_cast<std::uint32_t>(level));
-    w.bytes(value);
-    w.u32(static_cast<std::uint32_t>(sig.level));
-    w.bytes(sig.data);
-    return std::move(w).take();
+    return to_bytes(embedded_fields(*this));
   }
 
   [[nodiscard]] static std::optional<AgreedMsg> deserialize(
       std::span<const std::uint8_t> bytes) {
-    WireReader r{bytes};
     AgreedMsg m;
-    const auto source = r.u32();
-    const auto round = r.u64();
-    const auto level = r.u32();
-    auto value = r.bytes();
-    const auto sig_level = r.u32();
-    auto sig_data = r.bytes();
-    if (!source || !round || !level || !value || !sig_level || !sig_data) return std::nullopt;
-    m.source = *source;
-    m.round = *round;
-    m.level = static_cast<int>(*level);
-    m.value = std::move(*value);
-    m.sig.level = static_cast<int>(*sig_level);
-    m.sig.data = std::move(*sig_data);
+    if (!from_bytes(bytes, embedded_fields(m))) return std::nullopt;
     return m;
   }
 

@@ -1,8 +1,11 @@
-// Shared environment-variable knobs for benches and the campaign runner.
+// Shared environment-variable knobs for the simulator, benches and the
+// campaign runner.
 //
-// Every bench used to carry its own copy of these helpers; they live here
-// once so the knob set (ICC_RUNS, ICC_SIM_TIME, ICC_THREADS, ICC_JSON,
-// ICC_CAMPAIGN_JOURNAL, ...) is parsed uniformly.
+// Every reader used to carry its own parsing; the helpers live here once so
+// the knob set (ICC_RUNS, ICC_SIM_TIME, ICC_THREADS, ICC_SIM_THREADS,
+// ICC_TRACE, ICC_FLIGHT, ...) is parsed uniformly. The header uses only the
+// standard library, so tools/layers.toml files it under sim_base and sim/
+// includes it.
 //
 // Parsing is strict: a malformed value (ICC_THREADS=1O, ICC_SIM_TIME=3OO.0)
 // aborts with a message naming the variable instead of silently truncating
@@ -24,7 +27,7 @@ namespace icc::exp {
 }
 
 inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
+  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): nothing modifies the environment once runs start
   if (v == nullptr || *v == '\0') return fallback;
   errno = 0;
   char* end = nullptr;
@@ -36,7 +39,7 @@ inline int env_int(const char* name, int fallback) {
 }
 
 inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
+  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): nothing modifies the environment once runs start
   if (v == nullptr || *v == '\0') return fallback;
   errno = 0;
   char* end = nullptr;
@@ -47,7 +50,7 @@ inline double env_double(const char* name, double fallback) {
 
 /// Returns the variable's value, or `fallback` when unset or empty.
 inline std::string env_string(const char* name, const char* fallback = "") {
-  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): campaign setup reads env before the worker pool starts
+  const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): nothing modifies the environment once runs start
   return v != nullptr && *v != '\0' ? std::string{v} : std::string{fallback};
 }
 

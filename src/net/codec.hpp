@@ -2,7 +2,9 @@
 //
 // The simulator hands typed payload objects between nodes by shared_ptr; a
 // multi-process deployment needs real bytes. This codec defines one flat,
-// length-prefixed, little-endian encoding per protocol message:
+// length-prefixed, little-endian encoding per protocol message. A body is
+// its message type's field list (the static `fields` beside its members),
+// written and read by the one walker in core/wire.hpp:
 //
 //   magic u32 | total_len u32 | version u8 | wire-kind u8 | flags u16
 //   | frame_id u64 | tx u32 | rx u32                       (link header)
@@ -14,7 +16,9 @@
 // Wire kinds are a stable enum pinned here — deliberately NOT the runtime
 // PayloadKind registry, whose values depend on first-touch order and so
 // differ between processes. Decoding is total: malformed input from the
-// network is reported as a DecodeError, never an exception or a crash.
+// network is reported as a DecodeError, never an exception or a crash, and
+// a peer-supplied element count is checked against the bytes left before
+// anything is allocated.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,8 @@ inline constexpr std::uint8_t kWireVersion = 1;
 
 /// Stable on-wire payload discriminator. Append-only: new kinds get new
 /// values, existing values never change meaning (the version byte exists
-/// for layout changes, not for renumbering).
+/// for layout changes, not for renumbering). Kind k >= 1 is the k-th type
+/// of the body type list in codec.cpp; its name is that type's kTag.
 enum class WireKind : std::uint8_t {
   kNone = 0,  ///< no body (MAC ack frames)
   kAodvRreq = 1,

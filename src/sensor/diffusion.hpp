@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "net/host.hpp"
@@ -24,6 +25,7 @@ struct InterestMsg final : sim::PayloadBase<InterestMsg> {
   std::uint32_t seq{0};
   std::uint32_t hops{0};
   static constexpr std::uint32_t kWireSize = 16;
+  static auto fields(auto& m) { return std::tie(m.sink, m.seq, m.hops); }
 };
 
 /// A notification travelling up the tree. The payload is opaque bytes —
@@ -34,6 +36,7 @@ struct NotificationMsg final : sim::PayloadBase<NotificationMsg> {
   sim::NodeId origin{sim::kNoNode};
   std::uint64_t uid{0};
   std::vector<std::uint8_t> data;
+  static auto fields(auto& m) { return std::tie(m.origin, m.uid, m.data); }
   [[nodiscard]] std::uint32_t wire_size() const {
     return static_cast<std::uint32_t>(16 + data.size());
   }

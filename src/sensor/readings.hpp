@@ -4,6 +4,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <tuple>
+#include <vector>
 
 #include "core/wire.hpp"
 #include "sim/types.hpp"
@@ -16,25 +19,17 @@ struct Reading {
   sim::Time t{0.0};     ///< detection time
   double energy{0.0};   ///< sensed energy E_i
   sim::Vec2 pos;        ///< the sensor's position estimate u_i (= s_i)
+  static auto fields(auto& m) { return std::tie(m.t, m.energy, m.pos.x, m.pos.y); }
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
-    core::WireWriter w;
-    w.f64(t);
-    w.f64(energy);
-    w.f64(pos.x);
-    w.f64(pos.y);
-    return std::move(w).take();
+    return core::to_bytes(fields(*this));
   }
 
   [[nodiscard]] static std::optional<Reading> deserialize(
       std::span<const std::uint8_t> bytes) {
-    core::WireReader r{bytes};
-    const auto t = r.f64();
-    const auto e = r.f64();
-    const auto x = r.f64();
-    const auto y = r.f64();
-    if (!t || !e || !x || !y || !r.done()) return std::nullopt;
-    return Reading{*t, *e, {*x, *y}};
+    Reading out;
+    if (!core::from_bytes(bytes, fields(out))) return std::nullopt;
+    return out;
   }
 
   static constexpr std::uint32_t kWireSize = 32;
@@ -49,34 +44,18 @@ struct FusedNotification {
   double est_power{0.0};
   std::uint32_t detectors{0};
   bool valid{false};  ///< the fusion produced a consistent estimate
+  static auto fields(auto& m) {
+    return std::tie(m.t, m.target_pos.x, m.target_pos.y, m.est_power, m.detectors, m.valid);
+  }
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
-    core::WireWriter w;
-    w.f64(t);
-    w.f64(target_pos.x);
-    w.f64(target_pos.y);
-    w.f64(est_power);
-    w.u32(detectors);
-    w.u8(valid ? 1 : 0);
-    return std::move(w).take();
+    return core::to_bytes(fields(*this));
   }
 
   [[nodiscard]] static std::optional<FusedNotification> deserialize(
       std::span<const std::uint8_t> bytes) {
-    core::WireReader r{bytes};
-    const auto t = r.f64();
-    const auto x = r.f64();
-    const auto y = r.f64();
-    const auto p = r.f64();
-    const auto n = r.u32();
-    const auto v = r.u8();
-    if (!t || !x || !y || !p || !n || !v || !r.done()) return std::nullopt;
     FusedNotification out;
-    out.t = *t;
-    out.target_pos = {*x, *y};
-    out.est_power = *p;
-    out.detectors = *n;
-    out.valid = *v != 0;
+    if (!core::from_bytes(bytes, fields(out))) return std::nullopt;
     return out;
   }
 };

@@ -5,11 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
+#include "exp/env.hpp"
 #include "sim/check.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
@@ -133,9 +132,7 @@ Executive::Executive(World& world, int threads)
   heaps_.resize(static_cast<std::size_t>(nthreads_));
   ctxs_.resize(static_cast<std::size_t>(nthreads_));
   frontiers_ = std::make_unique<Frontier[]>(static_cast<std::size_t>(nthreads_));
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); diagnostics toggle only
-  const char* stats = std::getenv("ICC_SIM_STATS");  // NOLINT(concurrency-mt-unsafe): single-threaded construction
-  stats_ = stats != nullptr && *stats != '\0' && std::strcmp(stats, "0") != 0;
+  stats_ = exp::env_int("ICC_SIM_STATS", 0) != 0;
   threads_.reserve(static_cast<std::size_t>(nthreads_ - 1));
   for (int w = 1; w < nthreads_; ++w) {
     threads_.emplace_back([this, w] { worker_thread_main(static_cast<std::size_t>(w)); });

@@ -1,11 +1,11 @@
 #include "sim/trace.hpp"
 
+#include "exp/env.hpp"
 #include "sim/flight.hpp"
 
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -221,13 +221,11 @@ std::uint32_t Tracer::parse_mask(const char* spec) {
 }
 
 void Tracer::configure_from_env() {
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const std::uint32_t mask = parse_mask(std::getenv("ICC_TRACE"));  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
+  const std::uint32_t mask = parse_mask(exp::env_string("ICC_TRACE").c_str());
   if (mask != 0) {
     mask_ |= mask;
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    const char* path = std::getenv("ICC_TRACE_FILE");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-    if (path != nullptr && *path != '\0') {
+    const std::string path = exp::env_string("ICC_TRACE_FILE");
+    if (!path.empty()) {
       std::ostream& out = shared_file_stream(path);
       const std::string_view p{path};
       if (p.size() >= 6 && p.substr(p.size() - 6) == ".jsonl") {
@@ -239,9 +237,8 @@ void Tracer::configure_from_env() {
       add_owned_sink(std::make_unique<LineTraceSink>(std::cerr));
     }
   }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const char* perfetto = std::getenv("ICC_TRACE_PERFETTO");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-  if (perfetto != nullptr && *perfetto != '\0') {
+  const std::string perfetto = exp::env_string("ICC_TRACE_PERFETTO");
+  if (!perfetto.empty()) {
     // The export wants the whole picture: enable every category.
     mask_ = (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
     bool first_open = false;
@@ -249,19 +246,10 @@ void Tracer::configure_from_env() {
     if (first_open) out << "[\n";  // closing ']' is optional in the format
     add_owned_sink(std::make_unique<PerfettoTraceSink>(out));
   }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-  const char* flight = std::getenv("ICC_FLIGHT");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-  if (flight != nullptr && *flight != '\0' && std::strcmp(flight, "0") != 0) {
-    std::size_t capacity = kDefaultFlightRecords;
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    if (const char* records = std::getenv("ICC_FLIGHT_RECORDS");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-        records != nullptr && *records != '\0') {
-      const unsigned long long parsed = std::strtoull(records, nullptr, 10);
-      if (parsed > 0) capacity = static_cast<std::size_t>(parsed);
-    }
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); tracing config only
-    const char* dump = std::getenv("ICC_FLIGHT_DUMP");  // NOLINT(concurrency-mt-unsafe): single-threaded trace setup before any worker exists
-    enable_flight(capacity, dump != nullptr && *dump != '\0' ? dump : "icc_flight");
+  if (exp::env_int("ICC_FLIGHT", 0) != 0) {
+    const int records = exp::env_int("ICC_FLIGHT_RECORDS", 0);
+    enable_flight(records > 0 ? static_cast<std::size_t>(records) : kDefaultFlightRecords,
+                  exp::env_string("ICC_FLIGHT_DUMP", "icc_flight"));
   }
 }
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "exp/env.hpp"
 #include "sim/exec.hpp"
 
 namespace icc::sim {
@@ -31,13 +30,7 @@ World::World(WorldConfig config)
   // scheduler (and air shards) is only legal before anything is scheduled
   // or transmitted, and the health sampler below schedules.
   int threads = config_.sim_threads;
-  if (threads < 0) {
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); executive selection only
-    const char* env = std::getenv("ICC_SIM_THREADS");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-    threads = env != nullptr && *env != '\0'
-                  ? static_cast<int>(std::strtol(env, nullptr, 10))
-                  : 0;
-  }
+  if (threads < 0) threads = exp::env_int("ICC_SIM_THREADS", 0);
   if (threads < 0) threads = 0;
   if (threads > 0 && !config_.spatial_grid) {
     // The brute-force neighbor scan reads every node's live position, which
@@ -60,24 +53,13 @@ World::World(WorldConfig config)
                               config_.width, config_.height);
   }
   tracer_.configure_from_env();
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); profiling toggle only
-  const char* profile = std::getenv("ICC_PROFILE");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-  if (profile != nullptr && *profile != '\0' && std::strcmp(profile, "0") != 0) {
-    sched_.enable_profiling(true);
-  }
-  // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); health sampling knob
-  const char* health = std::getenv("ICC_TRACE_HEALTH");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-  if (health != nullptr && *health != '\0') {
-    health_interval_ = std::strtod(health, nullptr);
-    // detlint:allow(raw-getenv): sim cannot depend on exp/env.hpp (layering); health sampling knob
-    const char* per_node = std::getenv("ICC_TRACE_HEALTH_NODES");  // NOLINT(concurrency-mt-unsafe): single-threaded world construction
-    health_per_node_ =
-        per_node != nullptr && *per_node != '\0' && std::strcmp(per_node, "0") != 0;
-    // Arm only when someone is listening: a self-rescheduling sampler would
-    // otherwise keep an idle scheduler alive forever.
-    if (health_interval_ > 0.0 && tracer_.enabled(TraceCategory::kHealth)) {
-      sched_.schedule_in(health_interval_, [this] { health_sample(); });
-    }
+  if (exp::env_int("ICC_PROFILE", 0) != 0) sched_.enable_profiling(true);
+  health_interval_ = exp::env_double("ICC_TRACE_HEALTH", 0.0);
+  // Arm only when someone is listening: a self-rescheduling sampler would
+  // otherwise keep an idle scheduler alive forever.
+  if (health_interval_ > 0.0 && tracer_.enabled(TraceCategory::kHealth)) {
+    health_per_node_ = exp::env_int("ICC_TRACE_HEALTH_NODES", 0) != 0;
+    sched_.schedule_in(health_interval_, [this] { health_sample(); });
   }
 }
 

@@ -2,6 +2,10 @@
 // agreed-message serialization round trip.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/messages.hpp"
 #include "core/suspicions.hpp"
 #include "core/wire.hpp"
@@ -19,14 +23,19 @@ TEST(Wire, RoundTripAllTypes) {
   w.str("hello");
 
   WireReader r{w.data()};
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x123456789ABCDEF0ull);
-  EXPECT_DOUBLE_EQ(*r.f64(), 3.14159);
-  EXPECT_EQ(r.bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
-  const auto s = r.bytes();
-  ASSERT_TRUE(s.has_value());
-  EXPECT_EQ(std::string(s->begin(), s->end()), "hello");
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  double f64 = 0.0;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint8_t> s;
+  ASSERT_TRUE(r.get(std::tie(u8, u32, u64, f64, bytes, s)));
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x123456789ABCDEF0ull);
+  EXPECT_DOUBLE_EQ(f64, 3.14159);
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(std::string(s.begin(), s.end()), "hello");
   EXPECT_TRUE(r.done());
 }
 
@@ -35,14 +44,16 @@ TEST(Wire, TruncatedInputFailsGracefully) {
   w.u64(42);
   const auto& buf = w.data();
   WireReader r{std::span{buf.data(), 4}};  // cut in half
-  EXPECT_FALSE(r.u64().has_value());
+  std::uint64_t v = 0;
+  EXPECT_FALSE(r.get(v));
 }
 
 TEST(Wire, OversizedLengthPrefixRejected) {
   WireWriter w;
   w.u32(1000);  // claims 1000 bytes follow; nothing does
   WireReader r{w.data()};
-  EXPECT_FALSE(r.bytes().has_value());
+  std::vector<std::uint8_t> bytes;
+  EXPECT_FALSE(r.get(bytes));
 }
 
 TEST(Wire, NonCanonicalTrailingBytesDetectable) {
@@ -50,8 +61,17 @@ TEST(Wire, NonCanonicalTrailingBytesDetectable) {
   w.u32(1);
   w.u8(0xFF);
   WireReader r{w.data()};
-  (void)r.u32();
+  std::uint32_t v = 0;
+  ASSERT_TRUE(r.get(v));
   EXPECT_FALSE(r.done());
+  EXPECT_FALSE(from_bytes(w.data(), v));
+}
+
+TEST(Wire, EnumOutOfRangeRejected) {
+  VotingMode mode = VotingMode::kDeterministic;
+  EXPECT_TRUE(from_bytes(std::vector<std::uint8_t>{1}, mode));
+  EXPECT_EQ(mode, VotingMode::kStatistical);
+  EXPECT_FALSE(from_bytes(std::vector<std::uint8_t>{2}, mode));
 }
 
 TEST(Suspicions, TemporarySuspicionExpires) {
