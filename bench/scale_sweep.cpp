@@ -3,9 +3,8 @@
 // area, N/5 CBR connections, no attackers, no defense) is simulated once per
 // engine:
 //
-//   grid    legacy serial event loop, neighbor queries from the uniform-grid
+//   grid    serial event loop, neighbor queries from the uniform-grid
 //           spatial index (sim/grid.hpp) — the serial baseline
-//   brute   legacy serial event loop, brute-force all-nodes neighbor scan
 //   execK   parallel cell executive (sim/exec.hpp) with K worker threads,
 //           K from ICC_SCALE_THREADS (default 1,2,4,8)
 //
@@ -22,9 +21,7 @@
 // Environment knobs: ICC_SCALE_NODES (comma list, default 100,1000,10000),
 // ICC_SCALE_TIME (default 20 s), ICC_SCALE_RUNS (default 1),
 // ICC_SCALE_THREADS (comma list of executive worker counts, default
-// 1,2,4,8, also when set empty; a lone "," = serial engines only),
-// ICC_SCALE_BRUTE_MAX (default 1000 — the brute cell is skipped for larger
-// N, where the O(N^2) scan would dominate the sweep's wall time),
+// 1,2,4,8, also when set empty; a lone "," = serial engine only),
 // ICC_THREADS (keep the default 1 when the wall-clock numbers matter),
 // ICC_JSON.
 // The committed bench/BENCH_scale.json is this bench's ICC_JSON report at
@@ -58,11 +55,10 @@ std::vector<int> parse_int_list(const std::string& spec) {
   return out;
 }
 
-/// One point on the engine axis: which event loop and which neighbor path.
+/// One point on the engine axis: which event loop.
 struct Engine {
-  std::string label;  ///< axis label, e.g. "grid", "brute", "exec4"
-  bool spatial_grid;  ///< neighbor queries from the spatial index?
-  int sim_threads;    ///< 0 = legacy serial loop, K >= 1 = cell executive
+  std::string label;  ///< axis label, e.g. "grid", "exec4"
+  int sim_threads;    ///< 0 = serial loop, K >= 1 = cell executive
 };
 
 }  // namespace
@@ -72,7 +68,6 @@ int main() {
   const std::vector<int> node_counts = parse_int_list(nodes_spec);
   const double sim_time = icc::exp::env_double("ICC_SCALE_TIME", 20.0);
   const int runs = icc::exp::env_int("ICC_SCALE_RUNS", 1);
-  const int brute_max = icc::exp::env_int("ICC_SCALE_BRUTE_MAX", 1000);
   const std::vector<int> thread_counts =
       parse_int_list(icc::exp::env_string("ICC_SCALE_THREADS", "1,2,4,8"));
   if (node_counts.empty()) {
@@ -81,11 +76,8 @@ int main() {
   }
 
   std::vector<Engine> engines;
-  engines.push_back({"grid", true, 0});
-  engines.push_back({"brute", false, 0});
-  for (const int k : thread_counts) {
-    engines.push_back({"exec" + std::to_string(k), true, k});
-  }
+  engines.push_back({"grid", 0});
+  for (const int k : thread_counts) engines.push_back({"exec" + std::to_string(k), k});
 
   // The execK wall-clock numbers only mean something relative to the host's
   // core count: on a single-vCPU runner the executive's speedup is bounded
@@ -95,8 +87,8 @@ int main() {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::printf("Simulator scale sweep — N in {%s}, %.0f s simulated, %d run(s) per cell\n"
               "(density-preserving area, N/5 CBR connections, no attackers;\n"
-              " brute path skipped above N=%d; host has %u CPU(s))\n\n",
-              nodes_spec.c_str(), sim_time, runs, brute_max, host_cpus);
+              " host has %u CPU(s))\n\n",
+              nodes_spec.c_str(), sim_time, runs, host_cpus);
 
   icc::exp::Campaign campaign;
   campaign.name = "scale_sweep";
@@ -114,7 +106,6 @@ int main() {
   campaign.job = [&](const icc::exp::JobContext& ctx) {
     const int n = node_counts[campaign.grid.level(ctx.cell, 0)];
     const Engine& engine = engines[campaign.grid.level(ctx.cell, 1)];
-    if (!engine.spatial_grid && n > brute_max) return icc::exp::JobOutputs{};  // skipped
     icc::aodv::BlackholeExperimentConfig config;
     config.num_nodes = n;
     // Density-preserving scaling: the area grows with N so the mean radio
@@ -131,7 +122,6 @@ int main() {
     config.num_malicious = 0;
     config.sim_time = sim_time;
     config.seed = ctx.seed;
-    config.spatial_grid = engine.spatial_grid;
     config.sim_threads = engine.sim_threads;
     // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
     const auto start = std::chrono::steady_clock::now();
@@ -156,8 +146,8 @@ int main() {
 
   // Correctness gate: every engine of the same N simulated the same seeds,
   // so their simulation outputs (not their wall-clock) must agree to the
-  // last bit — the spatial grid against the brute scan, and the parallel
-  // executive at every thread count against the legacy serial loop.
+  // last bit — the parallel executive at every thread count against the
+  // serial loop.
   bool consistent = true;
   const char* signature[] = {"events_executed", "frames_sent", "packets_received",
                              "mac_collisions"};
@@ -165,7 +155,6 @@ int main() {
     const std::size_t base_cell = campaign.grid.cell_index({ni, 0});  // grid engine
     for (std::size_t ei = 1; ei < engines.size(); ++ei) {
       const std::size_t cell = campaign.grid.cell_index({ni, ei});
-      if (result.series(cell, "events_executed").count == 0) continue;  // skipped
       for (const char* metric : signature) {
         const auto& a = result.series(base_cell, metric);
         const auto& b = result.series(cell, metric);
@@ -186,11 +175,6 @@ int main() {
     const double base = result.mean(campaign.grid.cell_index({ni, 0}), "events_per_s");
     for (std::size_t ei = 0; ei < engines.size(); ++ei) {
       const std::size_t cell = campaign.grid.cell_index({ni, ei});
-      if (result.series(cell, "events_executed").count == 0) {
-        std::printf("%8d %8s %10s | %10s %12s %12s | %8s\n", node_counts[ni],
-                    engines[ei].label.c_str(), "-", "-", "-", "-", "skipped");
-        continue;
-      }
       const double eps = result.mean(cell, "events_per_s");
       std::printf("%8d %8s %10.0f | %10.2f %12.0f %12.0f | %7.2fx\n", node_counts[ni],
                   engines[ei].label.c_str(), result.mean(cell, "events_executed"),
@@ -217,7 +201,7 @@ int main() {
       const double base = result.mean(campaign.grid.cell_index({ni, 0}), "events_per_s");
       for (std::size_t ei = 0; ei < engines.size(); ++ei) {
         const std::size_t cell = campaign.grid.cell_index({ni, ei});
-        if (base <= 0.0 || result.series(cell, "events_executed").count == 0) continue;
+        if (base <= 0.0) continue;
         report.set_meta("speedup." + campaign.grid.key(cell),
                         result.mean(cell, "events_per_s") / base);
       }

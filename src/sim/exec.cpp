@@ -18,7 +18,7 @@
 namespace icc::sim {
 
 namespace detail {
-thread_local ExecContext* t_exec_ctx = nullptr;
+thread_local constinit ExecContext* t_exec_ctx = nullptr;
 }  // namespace detail
 
 void exec_buffer_metric_op(ExecMetricOp kind, std::uint32_t id, double v) {
@@ -177,7 +177,7 @@ void Executive::run_until(Time end) {
       // windows: they touch global state (health samples, fault-schedule
       // edges) and are rare. Legacy merged order, one timestamp at a time.
       const std::uint64_t before = sched_.executed_;
-      sched_.run_serial_span(std::nextafter(tw, kInf));
+      sched_.run_serial_span(tw);
       stat_world_events_ += sched_.executed_ - before;
       continue;
     }
@@ -215,7 +215,7 @@ void Executive::run_window(Time t, Time w) {
     for (const Popped& p : popped_) {
       sched_.queue_.push(Scheduler::QueueEntry{p.t, p.seq, p.id});
     }
-    sched_.run_serial_span(w);
+    sched_.run_serial_span(std::nextafter(w, -kInf));  // strictly before w
     return;
   }
   run_workers(w);

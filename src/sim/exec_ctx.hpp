@@ -6,7 +6,7 @@
 // uids, lineage — must either be buffered per component and merged at the
 // window barrier, or be sequenced through an ordered gate. This header is
 // the one low-cost hook the hot paths pay for that: a single thread-local
-// pointer. Serial execution (the legacy scheduler loop, world events, setup
+// pointer. Serial execution (the scheduler's serial loop, world events, setup
 // and teardown) leaves it null, so the pre-executive code paths cost exactly
 // one thread-local load and a branch.
 //
@@ -71,8 +71,10 @@ struct ExecContext {
 };
 
 namespace detail {
-// Defined in exec.cpp. extern (not inline) so there is exactly one TLS slot.
-extern thread_local ExecContext* t_exec_ctx;
+// Defined in exec.cpp. extern (not inline) so there is exactly one TLS slot;
+// constinit so every access is a plain TLS load, with no call through a
+// dynamic-initialization wrapper.
+extern thread_local constinit ExecContext* t_exec_ctx;
 }  // namespace detail
 
 /// The current worker context, or nullptr on any serially executing thread.

@@ -9,19 +9,23 @@
 
 namespace icc::sim {
 
+Medium::Medium(World& world, double tx_range, double cs_range, double width, double height)
+    : world_{world}, tx_range_{tx_range}, cs_range_{cs_range}, shard_side_{cs_range / 3.0} {
+  ICC_ASSERT(shard_side_ > 0.0, "the air table needs a positive carrier-sense range");
+  shards_x_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(width / shard_side_)));
+  shards_y_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(height / shard_side_)));
+  air_shards_.resize(static_cast<std::size_t>(shards_x_) * shards_y_);
+}
+
 void Medium::begin_transmission(const Frame& frame, double duration) {
   const Time now = world_.sched().now();
   ICC_ASSERT(duration > 0.0, "a transmission must occupy the medium for positive time");
   ICC_ASSERT(frame.tx < world_.num_nodes(), "transmissions must come from a known node");
-  if (!sharded_) {
-    // Retire transmissions that ended at or before now: they are ordered by
-    // end time, so this pops a prefix instead of erase_if-scanning the table.
-    on_air_.erase(on_air_.begin(), on_air_.upper_bound(now));
-    // Conservation: radios are half-duplex, so after retiring expired entries
-    // there can never be more concurrent transmissions than nodes.
-    ICC_CHECK(on_air_.size() < world_.num_nodes(),
-              "more in-flight transmissions than transmitters: a frame leaked on the air");
-  }
+  // Conservation: radios are half-duplex, so counting this one there can
+  // never be more concurrent transmissions than nodes. The sweep reads every
+  // shard, which only a serially executing thread may do.
+  ICC_CHECK(exec_ctx() != nullptr || on_air_count(now) < world_.num_nodes(),
+            "more in-flight transmissions than transmitters: a frame leaked on the air");
   if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
     ++ctx->log->frames_sent;
   } else {
@@ -32,17 +36,13 @@ void Medium::begin_transmission(const Frame& frame, double duration) {
                         frame.is_ack ? "ack" : nullptr, frame.packet.uid,
                         frame.packet.parent});
   const Vec2 tx_pos = world_.node(frame.tx).position();
-  if (sharded_) {
-    // Each insert retires its own shard's expired entries, bounding shard
-    // growth without a global sweep; concurrent components never share a
-    // shard (conflict-radius argument, DESIGN.md §16).
-    auto& shard = air_shards_[static_cast<std::size_t>(shard_row(tx_pos.y)) * shards_x_ +
-                             shard_col(tx_pos.x)];
-    std::erase_if(shard, [now](const AirEntry& e) { return e.end <= now; });
-    shard.push_back(AirEntry{now + duration, tx_pos});
-  } else {
-    on_air_.emplace(now + duration, tx_pos);
-  }
+  // Each insert retires its own shard's expired entries, bounding shard
+  // growth without a global sweep; concurrent components never share a
+  // shard (conflict-radius argument, DESIGN.md §16).
+  auto& shard = air_shards_[static_cast<std::size_t>(shard_row(tx_pos.y)) * shards_x_ +
+                           shard_col(tx_pos.x)];
+  std::erase_if(shard, [now](const AirEntry& e) { return e.end <= now; });
+  shard.push_back(AirEntry{now + duration, tx_pos});
   // thread_local: each executive worker keeps its own receiver-candidate
   // buffer, so the per-frame hot path still never allocates steady-state.
   static thread_local std::vector<NodeId> rx_scratch;
@@ -75,48 +75,29 @@ void Medium::begin_transmission(const Frame& frame, double duration) {
 bool Medium::busy_at(NodeId listener) const {
   const Time now = world_.sched().now();
   const Vec2 lp = world_.node(listener).position();
-  if (sharded_) {
-    // Scan the shard window covering disk(listener, cs_range). Entries are
-    // position snapshots, so the predicate is exactly the legacy one;
-    // expired entries are skipped, not erased (busy_at stays const).
-    const double cs2 = cs_range_ * cs_range_;
-    const std::uint32_t c0 = shard_col(lp.x - cs_range_);
-    const std::uint32_t c1 = shard_col(lp.x + cs_range_);
-    const std::uint32_t r0 = shard_row(lp.y - cs_range_);
-    const std::uint32_t r1 = shard_row(lp.y + cs_range_);
-    for (std::uint32_t r = r0; r <= r1; ++r) {
-      for (std::uint32_t c = c0; c <= c1; ++c) {
-        for (const AirEntry& e : air_shards_[static_cast<std::size_t>(r) * shards_x_ + c]) {
-          if (e.end > now && (e.pos - lp).norm2() <= cs2) return true;
-        }
+  // Scan the shard window covering disk(listener, cs_range). Expired
+  // entries are skipped, not erased (busy_at stays const).
+  const double cs2 = cs_range_ * cs_range_;
+  const std::uint32_t c0 = shard_col(lp.x - cs_range_);
+  const std::uint32_t c1 = shard_col(lp.x + cs_range_);
+  const std::uint32_t r0 = shard_row(lp.y - cs_range_);
+  const std::uint32_t r1 = shard_row(lp.y + cs_range_);
+  for (std::uint32_t r = r0; r <= r1; ++r) {
+    for (std::uint32_t c = c0; c <= c1; ++c) {
+      for (const AirEntry& e : air_shards_[static_cast<std::size_t>(r) * shards_x_ + c]) {
+        if (e.end > now && (e.pos - lp).norm2() <= cs2) return true;
       }
     }
-    return false;
   }
-  // Entries with end <= now are dead air; upper_bound skips the whole
-  // expired prefix in O(log n) and leaves the table untouched.
-  if (world_.config().spatial_grid) {
-    // Squared-distance form of the same predicate (see SpatialGrid::query
-    // for the equivalence argument); the legacy branch below keeps hypot so
-    // spatial_grid=false stays the faithful pre-refactor baseline.
-    const double cs2 = cs_range_ * cs_range_;
-    return std::any_of(on_air_.upper_bound(now), on_air_.end(),
-                       [&](const auto& t) { return (t.second - lp).norm2() <= cs2; });
-  }
-  return std::any_of(on_air_.upper_bound(now), on_air_.end(), [&](const auto& t) {
-    return distance(t.second, lp) <= cs_range_;
-  });
+  return false;
 }
 
 std::size_t Medium::on_air_count(Time now) const {
-  if (sharded_) {
-    std::size_t n = 0;
-    for (const auto& shard : air_shards_) {
-      for (const AirEntry& e : shard) n += e.end > now ? 1u : 0u;
-    }
-    return n;
+  std::size_t n = 0;
+  for (const auto& shard : air_shards_) {
+    for (const AirEntry& e : shard) n += e.end > now ? 1u : 0u;
   }
-  return static_cast<std::size_t>(std::distance(on_air_.upper_bound(now), on_air_.end()));
+  return n;
 }
 
 void Medium::count_collision() noexcept {
@@ -125,17 +106,6 @@ void Medium::count_collision() noexcept {
   } else {
     ++collisions_;
   }
-}
-
-void Medium::enable_air_shards(double shard_side, double width, double height) {
-  ICC_ASSERT(on_air_.empty() && frames_sent_ == 0,
-             "air shards must be enabled before any transmission");
-  ICC_ASSERT(shard_side > 0.0, "air shards need a positive side");
-  sharded_ = true;
-  shard_side_ = shard_side;
-  shards_x_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(width / shard_side)));
-  shards_y_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(height / shard_side)));
-  air_shards_.assign(static_cast<std::size_t>(shards_x_) * shards_y_, {});
 }
 
 std::uint32_t Medium::shard_col(double x) const noexcept {

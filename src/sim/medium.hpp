@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iterator>
-#include <map>
 #include <vector>
 
 #include "sim/frame.hpp"
@@ -27,23 +25,24 @@ class World;
 /// of the reception).
 enum class DeliveryVerdict : std::uint8_t { kDeliver, kDrop, kCorrupt };
 
-// Under the parallel executive the air table is sharded by position; the
-// conflict radius (>= cs_range + shard diagonal) keeps any two components'
-// transmissions in disjoint shard neighborhoods, so shard vectors need no
-// locks (DESIGN.md §16). Counters are buffered per component and merged at
-// the barrier.
+// The air table is sharded by transmitter position. Under the parallel
+// executive the conflict radius (>= cs_range + shard diagonal) keeps any two
+// components' transmissions in disjoint shard neighborhoods, so shard
+// vectors need no locks (DESIGN.md §16). Counters are buffered per
+// component and merged at the barrier.
 // icc:affinity(world)
 class Medium {
  public:
-  Medium(World& world, double tx_range, double cs_range)
-      : world_{world}, tx_range_{tx_range}, cs_range_{cs_range} {}
+  /// The air table covers the `width` x `height` area in square shards of
+  /// side cs_range / 3; positions outside the area fall into edge shards.
+  Medium(World& world, double tx_range, double cs_range, double width, double height);
 
   /// Put `frame` on the air for `duration` seconds starting now. Delivers
   /// (or collides) the frame at every node currently inside `tx_range`.
   void begin_transmission(const Frame& frame, double duration);
 
   /// Carrier sense at `listener`: is any transmission within cs_range of it
-  /// still in progress?
+  /// still in progress (end > now and squared distance <= cs_range^2)?
   [[nodiscard]] bool busy_at(NodeId listener) const;
 
   [[nodiscard]] double tx_range() const noexcept { return tx_range_; }
@@ -65,14 +64,8 @@ class Medium {
     collisions_ += collisions;
   }
 
-  /// Switch the air table from the end-time multimap to position shards of
-  /// side `shard_side` (parallel executive only: shard scans replace the
-  /// global expired-prefix walk so concurrent components never touch the
-  /// same storage). Must be called before any transmission.
-  void enable_air_shards(double shard_side, double width, double height);
-  [[nodiscard]] bool air_sharded() const noexcept { return sharded_; }
-  /// Shard side in meters (0 when not sharded). The executive folds the
-  /// shard diagonal into the conflict radius.
+  /// Air-table shard side in meters. The executive folds the shard diagonal
+  /// into the conflict radius.
   [[nodiscard]] double air_shard_side() const noexcept { return shard_side_; }
 
   /// Fault-injection hook: consulted once per (frame, in-range receiver)
@@ -85,7 +78,8 @@ class Medium {
   void set_delivery_filter(DeliveryFilter filter);
 
  private:
-  /// One in-progress (or not yet retired) transmission in sharded mode.
+  /// One in-progress (or not yet retired) transmission, carrying the
+  /// transmitter position snapshotted at transmission start.
   struct AirEntry {
     Time end;
     Vec2 pos;
@@ -97,19 +91,13 @@ class Medium {
   World& world_;
   double tx_range_;
   double cs_range_;
-  /// The air table: transmissions keyed by their end time (ties keep
-  /// insertion order), each carrying the transmitter position snapshotted at
-  /// transmission start. Expired entries are erased in O(log n) amortized by
-  /// the next begin_transmission; carrier sense skips them without mutating
-  /// anything via upper_bound(now), so busy_at is honestly const.
-  std::multimap<Time, Vec2> on_air_;
-  /// Sharded air table (parallel executive): entries bucketed by transmitter
-  /// position; each insert retires its own shard's expired entries.
+  /// The air table: entries bucketed by transmitter position. Each insert
+  /// retires its own shard's expired entries; carrier sense skips expired
+  /// entries without erasing them, so busy_at is honestly const.
   std::vector<std::vector<AirEntry>> air_shards_;
-  double shard_side_{0.0};
-  std::uint32_t shards_x_{1};
-  std::uint32_t shards_y_{1};
-  bool sharded_{false};
+  double shard_side_;
+  std::uint32_t shards_x_;
+  std::uint32_t shards_y_;
   std::uint64_t frames_sent_{0};
   std::uint64_t collisions_{0};
   DeliveryFilter delivery_filter_;

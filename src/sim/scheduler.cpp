@@ -67,10 +67,9 @@ Scheduler::EventId Scheduler::p_schedule(Time t, std::function<void()> fn, Event
   }
   if (slab >= pslabs_.size()) {
     // Slab growth reallocates the slab vector, which would race with other
-    // workers mid-window; nodes register their slabs serially at add_node.
-    ICC_ASSERT(ctx == nullptr, "worker-context schedules must target a registered slab");
-    ICC_ASSERT(slab < kMaxSlabs, "partitioned EventId slab field overflow");
-    pslabs_.resize(static_cast<std::size_t>(slab) + 1);
+    // workers mid-window; World registers every node's slab at add_node.
+    ICC_REQUIRE(ctx == nullptr, "worker-context schedules must target a registered slab");
+    grow_slabs(slab);
   }
   PartitionSlab& ps = pslabs_[slab];
   std::uint32_t index;
@@ -79,8 +78,9 @@ Scheduler::EventId Scheduler::p_schedule(Time t, std::function<void()> fn, Event
     ps.free_slots.pop_back();
   } else {
     index = static_cast<std::uint32_t>(ps.slots.size());
-    ICC_ASSERT(index <= kSlotMask, "partitioned slot slab overflow (32768 pending "
-                                   "events on one owner)");
+    // A larger slot index would spill into the EventId slab bits.
+    ICC_REQUIRE(index <= kSlotMask, "partitioned slot slab overflow (more than 32768 "
+                                    "pending events on one owner)");
     ps.slots.emplace_back();
   }
   Slot& slot = ps.slots[index];
@@ -113,6 +113,14 @@ Scheduler::EventId Scheduler::p_schedule(Time t, std::function<void()> fn, Event
   return id;
 }
 
+void Scheduler::grow_slabs(std::uint32_t slab) {
+  if (slab < pslabs_.size()) return;
+  // A larger slab index would spill into the EventId generation bits.
+  ICC_REQUIRE(slab < kMaxSlabs, "partitioned EventId slab field overflow (owner id "
+                                "131071 or above)");
+  pslabs_.resize(static_cast<std::size_t>(slab) + 1);
+}
+
 std::int64_t& Scheduler::ctx_log_live_delta(ExecContext& ctx) noexcept {
   return ctx.log->live_delta;
 }
@@ -133,8 +141,7 @@ void Scheduler::execute(std::function<void()>&& fn, EventTag tag) {
   }
 }
 
-void Scheduler::run_serial_span(Time bound) {
-  ICC_ASSERT(partitioned_, "run_serial_span is the partitioned-mode serial engine");
+void Scheduler::run_serial_span(Time last) {
   for (;;) {
     const bool have_node = !queue_.empty();
     const bool have_world = !world_queue_.empty();
@@ -147,7 +154,7 @@ void Scheduler::run_serial_span(Time bound) {
     }
     auto& queue = world ? world_queue_ : queue_;
     const QueueEntry top = queue.top();
-    if (top.time >= bound) break;
+    if (top.time > last) break;
     ICC_ASSERT(top.time >= now_, "event time monotonicity: the queue must never yield an "
                                  "event scheduled before the current simulated time");
     ICC_ASSERT(top.seq < next_seq_, "queue entries must reference ids the scheduler issued");
@@ -159,63 +166,22 @@ void Scheduler::run_serial_span(Time bound) {
     const EventTag tag = slot->tag;
     release(*slot, index);
     now_ = top.time;
-    serial_owner_slab_ = index >> kSlotBits;  // children inherit the owner
+    // Children inherit the owner (read in partitioned mode only).
+    serial_owner_slab_ = index >> kSlotBits;
     execute(std::move(fn), tag);
   }
   serial_owner_slab_ = kWorldSlab;
 }
 
 void Scheduler::run_until(Time end) {
-  if (partitioned_) {
-    // Fallback serial engine for partitioned worlds driven without the
-    // executive (serial-coupled faults, unit tests): legacy order, both
-    // queues. `<= end` == strictly below nextafter(end).
-    run_serial_span(std::nextafter(end, std::numeric_limits<Time>::infinity()));
-    ICC_CHECK(!queue_.empty() || !world_queue_.empty() || live_count_ == 0,
-              "stale EventId: live slots remain after the queue drained");
-    if (now_ < end) now_ = end;
-    return;
-  }
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.top();
-    if (top.time > end) break;
-    ICC_ASSERT(top.time >= now_, "event time monotonicity: the queue must never yield an "
-                                 "event scheduled before the current simulated time");
-    ICC_ASSERT(top.seq < next_seq_, "queue entries must reference ids the scheduler issued");
-    queue_.pop();
-    Slot* slot = live_slot(top.id);
-    if (slot == nullptr) continue;  // cancelled
-    std::function<void()> fn = std::move(slot->fn);
-    const EventTag tag = slot->tag;
-    release(*slot, static_cast<std::uint32_t>(top.id & 0xffffffffu));
-    now_ = top.time;
-    execute(std::move(fn), tag);
-  }
-  ICC_CHECK(!queue_.empty() || live_count_ == 0,
+  run_serial_span(end);
+  ICC_CHECK(!queue_.empty() || !world_queue_.empty() || live_count_ == 0,
             "stale EventId: live slots remain after the queue drained");
   if (now_ < end) now_ = end;
 }
 
 void Scheduler::run_all() {
-  if (partitioned_) {
-    run_serial_span(std::numeric_limits<Time>::infinity());
-    ICC_CHECK(live_count_ == 0, "stale EventId: live slots remain after the queue drained");
-    return;
-  }
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.top();
-    ICC_ASSERT(top.time >= now_, "event time monotonicity: the queue must never yield an "
-                                 "event scheduled before the current simulated time");
-    ICC_ASSERT(top.seq < next_seq_, "queue entries must reference ids the scheduler issued");
-    queue_.pop();
-    Slot* slot = live_slot(top.id);
-    if (slot == nullptr) continue;
-    std::function<void()> fn = std::move(slot->fn);
-    const EventTag tag = slot->tag;
-    release(*slot, static_cast<std::uint32_t>(top.id & 0xffffffffu));
-    now_ = top.time;
-    execute(std::move(fn), tag);
-  }
+  run_serial_span(std::numeric_limits<Time>::infinity());
   ICC_CHECK(live_count_ == 0, "stale EventId: live slots remain after the queue drained");
 }
 

@@ -5,11 +5,12 @@
 // protocol timers (AODV route expiry, MAC ack timeouts, voting-round
 // deadlines, ...) are retracted.
 //
-// Two storage modes share this class:
+// Two storage modes share this class and its one serial drain loop
+// (run_serial_span):
 //
-//   Legacy (default): one slot slab, one priority queue — the original
-//   serial engine, untouched byte for byte. Runs without ICC_SIM_THREADS
-//   never leave it.
+//   Flat (default): one slot slab, one priority queue. Runs without
+//   ICC_SIM_THREADS never leave it; per-owner slabs would cost them wall
+//   time (DESIGN.md §11).
 //
 //   Partitioned (enable_partitioned, switched on by World when
 //   ICC_SIM_THREADS selects the parallel cell executive): pending closures
@@ -106,7 +107,7 @@ class Scheduler final : public net::Clock {
                       EventTag tag = EventTag::kGeneric) override;
 
   /// Schedule with an explicit owner (partitioned mode; `owner` is ignored
-  /// in legacy mode). kNoNode names the world. Call sites that schedule an
+  /// in flat mode). kNoNode names the world. Call sites that schedule an
   /// event on behalf of *another* node — the MAC handing a frame completion
   /// to its receiver — must use this: TLS inheritance would misfile the
   /// event under the transmitter.
@@ -147,7 +148,13 @@ class Scheduler final : public net::Clock {
   /// event is scheduled (World does it at construction when the parallel
   /// executive is selected); ids from one mode are meaningless in the other.
   void enable_partitioned();
-  [[nodiscard]] bool partitioned() const noexcept { return partitioned_; }
+
+  /// Create node `owner`'s slab now (partitioned mode; no-op in flat mode).
+  /// World registers every node serially at add_node, so executive workers
+  /// never grow the slab vector under each other.
+  void register_owner(NodeId owner) {
+    if (partitioned_) grow_slabs(owner + 1);
+  }
 
   /// Number of events executed so far.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
@@ -254,6 +261,9 @@ class Scheduler final : public net::Clock {
     }
   }
 
+  /// Make slab index `slab` exist. Serial only: growth reallocates.
+  void grow_slabs(std::uint32_t slab);
+
   /// Out of line so this header need not see EffectLog's definition.
   [[nodiscard]] static std::int64_t& ctx_log_live_delta(ExecContext& ctx) noexcept;
 
@@ -261,12 +271,13 @@ class Scheduler final : public net::Clock {
   /// entry by context (serial queues / worker heap / handoff log).
   EventId p_schedule(Time t, std::function<void()> fn, EventTag tag, std::uint32_t slab);
 
-  /// Partitioned-mode serial span: pop the node and world queues merged by
-  /// (time, seq) — exactly the legacy global order — executing every event
-  /// with time strictly below `bound`. The serial owner slab tracks each
-  /// executed event so default-owner children are filed correctly. Leaves
-  /// now_ at the last executed event.
-  void run_serial_span(Time bound);
+  /// The serial drain loop of both storage modes: pop the node and world
+  /// queues merged by (time, seq) — one global FIFO order; the world queue
+  /// stays empty in flat mode — executing every event with time at or
+  /// before `last`. The serial owner slab tracks each executed event so
+  /// default-owner children are filed correctly. Leaves now_ at the last
+  /// executed event.
+  void run_serial_span(Time last);
 
   void execute(std::function<void()>&& fn, EventTag tag);
 
@@ -293,7 +304,7 @@ class Scheduler final : public net::Clock {
 };
 
 /// RAII serial-owner scope: events scheduled (without an explicit owner)
-/// while this is alive are filed under `owner`'s slab. No-op in legacy mode.
+/// while this is alive are filed under `owner`'s slab. No-op in flat mode.
 class ScopedEventOwner {
  public:
   ScopedEventOwner(Scheduler& sched, NodeId owner);

@@ -20,15 +20,16 @@ constexpr double kGridSlackFraction = 0.1;
 
 World::World(WorldConfig config)
     : config_{config},
-      medium_{*this, config.tx_range, config.tx_range * config.cs_range_factor},
+      medium_{*this, config.tx_range, config.tx_range * config.cs_range_factor, config.width,
+              config.height},
       rng_{config.seed},
       grid_{*this, config.width, config.height,
             std::max(config.tx_range, config.tx_range * config.cs_range_factor),
             kGridSlackFraction *
                 std::max(config.tx_range, config.tx_range * config.cs_range_factor)} {
   // Resolve the within-run thread count first: enabling the partitioned
-  // scheduler (and air shards) is only legal before anything is scheduled
-  // or transmitted, and the health sampler below schedules.
+  // scheduler is only legal before anything is scheduled, and the health
+  // sampler below schedules.
   int threads = config_.sim_threads;
   if (threads < 0) threads = exp::env_int("ICC_SIM_THREADS", 0);
   if (threads < 0) threads = 0;
@@ -47,11 +48,7 @@ World::World(WorldConfig config)
     threads = 0;
   }
   exec_threads_ = threads;
-  if (exec_threads_ > 0) {
-    sched_.enable_partitioned();
-    medium_.enable_air_shards(config_.tx_range * config_.cs_range_factor / 3.0,
-                              config_.width, config_.height);
-  }
+  if (exec_threads_ > 0) sched_.enable_partitioned();
   tracer_.configure_from_env();
   if (exp::env_int("ICC_PROFILE", 0) != 0) sched_.enable_profiling(true);
   health_interval_ = exp::env_double("ICC_TRACE_HEALTH", 0.0);
@@ -108,9 +105,7 @@ std::uint64_t World::next_span() noexcept { return next_packet_uid(); }
 
 Node& World::add_node(std::unique_ptr<Mobility> mobility) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  ICC_ASSERT(!sched_.partitioned() ||
-                 static_cast<std::uint64_t>(id) + 1 < Scheduler::kMaxSlabs,
-             "partitioned EventId layout caps the executive at 131070 nodes");
+  sched_.register_owner(id);
   nodes_.push_back(std::make_unique<Node>(*this, id, std::move(mobility), config_.mac));
   {
     // Mobility events belong to the node they move.

@@ -34,11 +34,12 @@ struct WorldConfig {
   /// (sim/grid.hpp) instead of a brute-force all-nodes scan. Results are
   /// bit-for-bit identical either way (the grid applies the same exact
   /// distance predicate in the same NodeId order); the flag exists so
-  /// equivalence tests and the scale_sweep bench can measure the old path.
+  /// equivalence tests can use the scan as an oracle. Carrier sense always
+  /// reads the medium's position-sharded air table.
   bool spatial_grid{true};
   /// Within-run worker threads for the conservative parallel-DES cell
   /// executive (sim/exec.hpp). -1 (default) reads ICC_SIM_THREADS; 0 (or an
-  /// unset/empty variable) keeps the legacy serial engine. Any value >= 1
+  /// unset/empty variable) keeps the serial engine. Any value >= 1
   /// selects the executive — including 1, so a one-thread executive run is
   /// byte-identical to an 8-thread one by construction, not by luck. Same
   /// seed => byte-identical traces, reports, and ledger at any thread
@@ -81,10 +82,11 @@ class World final : public net::Services {
   [[nodiscard]] Time now() const noexcept override { return sched_.now(); }
   /// Run the simulation to `end`. Routed through the parallel executive when
   /// sim_threads selected it (and the run is not serially coupled), through
-  /// the legacy serial loop otherwise — byte-identical results either way.
+  /// the scheduler's serial loop otherwise — byte-identical results either
+  /// way.
   void run_until(Time end);
 
-  /// Worker threads the executive will use; 0 = legacy serial engine.
+  /// Worker threads the executive will use; 0 = serial engine.
   [[nodiscard]] int exec_threads() const noexcept { return exec_threads_; }
 
   /// Independent RNG stream; `salt` should identify the consumer.

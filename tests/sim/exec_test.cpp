@@ -180,5 +180,35 @@ TEST(Executive, CellMigrationKeepsFrameDeliveryOrder) {
   EXPECT_EQ(one, eight);
 }
 
+TEST(Executive, WorkersNeverGrowTheSlabVector) {
+  // Two static transmitter/receiver pairs in different components fire at
+  // the same instant, so both frames are delivered from worker threads. The
+  // receivers are added last and schedule nothing before their first frame:
+  // their slabs must already exist (World registers every node at
+  // add_node), or two workers would reallocate the slab vector at once.
+  sim::WorldConfig config;
+  config.width = 3000.0;
+  config.height = 3000.0;
+  config.seed = 3;
+  config.sim_threads = 2;
+  sim::World world{config};
+  sim::Node& a = world.add_node(std::make_unique<sim::StaticMobility>(Vec2{100, 100}));
+  sim::Node& b = world.add_node(std::make_unique<sim::StaticMobility>(Vec2{2900, 2900}));
+  world.add_node(std::make_unique<sim::StaticMobility>(Vec2{200, 100}));
+  world.add_node(std::make_unique<sim::StaticMobility>(Vec2{2800, 2900}));
+  for (sim::Node* tx : {&a, &b}) {
+    tx->clock().schedule_at(1.0, [&world, id = tx->id()] {
+      sim::Frame frame;
+      frame.tx = id;
+      frame.is_ack = true;
+      world.medium().begin_transmission(frame, 1e-3);
+    });
+  }
+  world.run_until(2.0);
+  EXPECT_EQ(world.medium().frames_sent(), 2u);
+  EXPECT_GT(world.node(2).energy().rx_time(), 0.0);
+  EXPECT_GT(world.node(3).energy().rx_time(), 0.0);
+}
+
 }  // namespace
 }  // namespace icc

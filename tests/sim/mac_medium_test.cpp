@@ -3,6 +3,7 @@
 // behaviour, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "sim/world.hpp"
@@ -218,6 +219,141 @@ TEST_F(MacMediumTest, TrueNeighborsMatchesGeometry) {
   const auto neighbors = world.true_neighbors(0);
   EXPECT_EQ(neighbors, (std::vector<NodeId>{1, 2}));
 }
+
+// Carrier sense against an independent answer: transmissions start from
+// seeded positions — on air-table shard boundaries, on and outside the area
+// edge — and every node's busy_at, and on_air_count, are compared with a
+// brute-force sweep of all transmissions the test started, expired ones
+// included.
+TEST(CarrierSenseOracle, BusyAtMatchesBruteForceSweep) {
+  WorldConfig config;
+  config.width = 1000;
+  config.height = 600;
+  config.tx_range = 250;
+  config.seed = 17;
+  World world{config};
+  const double cs = world.medium().cs_range();
+  const double side = world.medium().air_shard_side();
+  Rng rng{23};
+  std::vector<Vec2> positions;
+  for (int i = 0; i * side <= config.width + side; ++i) {
+    positions.push_back(Vec2{i * side, rng.uniform(0.0, config.height)});
+  }
+  for (int j = 0; j * side <= config.height + side; ++j) {
+    positions.push_back(Vec2{rng.uniform(0.0, config.width), j * side});
+  }
+  for (const Vec2 edge : {Vec2{0, 0}, Vec2{1000, 600}, Vec2{1000, 0}, Vec2{-120, 300},
+                          Vec2{1100, -50}, Vec2{500, 750}, Vec2{-400, -400}}) {
+    positions.push_back(edge);
+  }
+  while (positions.size() < 64) {
+    positions.push_back(Vec2{rng.uniform(-200.0, 1200.0), rng.uniform(-200.0, 800.0)});
+  }
+  for (const Vec2 pos : positions) world.add_node(std::make_unique<StaticMobility>(pos));
+  const auto n = static_cast<std::uint32_t>(positions.size());
+
+  struct Sent {
+    Vec2 pos;
+    Time end;
+  };
+  std::vector<Sent> sent;
+  std::vector<Time> radio_free_at(n, 0.0);  // half-duplex: one frame per radio
+  std::size_t busy = 0;
+  std::size_t idle = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Time now = world.now();
+    for (std::uint32_t k = rng.uniform_int(0, 4); k > 0; --k) {
+      const NodeId tx = rng.uniform_int(0, n - 1);
+      if (radio_free_at[tx] > now) continue;
+      Frame frame;
+      frame.tx = tx;
+      frame.is_ack = true;  // no packet body; receivers drop unmatched acks
+      const double duration = rng.uniform(1e-4, 4e-3);
+      world.medium().begin_transmission(frame, duration);
+      radio_free_at[tx] = now + duration;
+      sent.push_back(Sent{positions[tx], now + duration});
+    }
+    // Sometimes land exactly on a transmission's end: end == now is idle.
+    Time next = now + rng.uniform(0.0, 2e-3);
+    if (!sent.empty() && rng.uniform_int(0, 3) == 0) {
+      const auto pick = rng.uniform_int(0, static_cast<std::uint32_t>(sent.size() - 1));
+      next = std::max(now, sent[pick].end);
+    }
+    world.run_until(next);
+    const Time t = world.now();
+    std::size_t on_air = 0;
+    for (const Sent& s : sent) on_air += s.end > t ? 1u : 0u;
+    ASSERT_EQ(world.medium().on_air_count(t), on_air) << "round " << round;
+    for (NodeId i = 0; i < n; ++i) {
+      const bool expected = std::any_of(sent.begin(), sent.end(), [&](const Sent& s) {
+        return s.end > t && (s.pos - positions[i]).norm2() <= cs * cs;
+      });
+      ASSERT_EQ(world.medium().busy_at(i), expected) << "round " << round << " node " << i;
+      ++(expected ? busy : idle);
+    }
+  }
+  EXPECT_GT(busy, 0u);
+  EXPECT_GT(idle, 0u);
+}
+
+// The shard window must reach the very edge of the carrier-sense disk: a
+// listener whose disk ends 0.3 m past a shard boundary hears a transmitter
+// just inside range on the far side of that boundary, in each direction,
+// and not one just outside.
+TEST(CarrierSenseOracle, ShardWindowReachesTheDiskEdge) {
+  WorldConfig config;
+  config.seed = 5;
+  World world{config};
+  const double cs = world.medium().cs_range();
+  const double boundary = 2 * world.medium().air_shard_side();
+  const double inside = cs * (1.0 - 1e-6);
+  const double outside = cs * (1.0 + 1e-6);
+  struct Probe {
+    Vec2 listener;
+    Vec2 toward;
+  };
+  const Probe probes[] = {
+      {{500, boundary + cs - 0.3}, {0, -1}},
+      {{500, boundary - cs + 0.3}, {0, 1}},
+      {{boundary + cs - 0.3, 500}, {-1, 0}},
+      {{boundary - cs + 0.3, 500}, {1, 0}},
+  };
+  for (const Probe& p : probes) {
+    for (const double d : {0.0, inside, outside}) {
+      world.add_node(std::make_unique<StaticMobility>(p.listener + p.toward * d));
+    }
+  }
+  for (NodeId listener = 0; listener < world.num_nodes(); listener += 3) {
+    for (const NodeId tx : {listener + 1, listener + 2}) {
+      Frame frame;
+      frame.tx = tx;
+      frame.is_ack = true;
+      world.medium().begin_transmission(frame, 1e-3);
+      EXPECT_EQ(world.medium().busy_at(listener), tx == listener + 1)
+          << "probe " << listener / 3 << ", transmitter " << tx;
+      world.run_until(world.now() + 2e-3);
+    }
+  }
+}
+
+#if ICC_CHECKED_ENABLED
+TEST(CarrierSenseOracleDeathTest, MoreFramesOnTheAirThanRadiosAborts) {
+  EXPECT_DEATH(
+      {
+        WorldConfig config;
+        World world{config};
+        world.add_node(std::make_unique<StaticMobility>(Vec2{100, 100}));
+        world.add_node(std::make_unique<StaticMobility>(Vec2{900, 900}));
+        Frame frame;
+        frame.is_ack = true;
+        for (const NodeId tx : {0u, 1u, 0u}) {
+          frame.tx = tx;
+          world.medium().begin_transmission(frame, 1e-3);
+        }
+      },
+      "leaked on the air");
+}
+#endif
 
 }  // namespace
 }  // namespace icc::sim
