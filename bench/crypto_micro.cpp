@@ -1,7 +1,8 @@
 // Micro-benchmarks for the cryptographic substrate at the paper's two key
 // lengths (1024-bit for the AODV study, 512-bit for the sensor study):
 // threshold-RSA partial signing / combination / verification, plain RSA,
-// SHA-256/HMAC, and the simulation-grade scheme. These numbers calibrate the
+// SHA-256/HMAC (one-shot, under a prebuilt key schedule, and one compression
+// per kernel), and the simulation-grade scheme. These numbers calibrate the
 // CryptoCostModel used inside the simulations (DESIGN.md §3) and quantify
 // the software side of the paper's Crypto-Processor trade-off.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "crypto/model_scheme.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/threshold_rsa.hpp"
 
 namespace {
@@ -47,6 +49,42 @@ void BM_HmacSha256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256);
+
+// A MAC under a prebuilt key schedule, as STS tags and verifies beacons:
+// 48, 64 and 80 bytes are the auth bytes of a beacon listing 4, 8 and 12
+// neighbours.
+void BM_HmacKeyMac(benchmark::State& state) {
+  Digest key{};
+  key[0] = 0x42;
+  const HmacKey schedule{key};
+  const std::vector<std::uint8_t> msg(static_cast<std::size_t>(state.range(0)), 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule.mac(msg));
+  }
+}
+BENCHMARK(BM_HmacKeyMac)->Arg(48)->Arg(64)->Arg(80);
+
+// One SHA-256 compression per iteration, on each kernel this host can run
+// (arg 0: portable, arg 1: SHA extensions).
+void BM_Sha256Compress(benchmark::State& state) {
+  const bool shani = state.range(0) == 1;
+  if (shani && !detail::sha256_shani_supported()) {
+    state.SkipWithError("CPU lacks SHA extensions");
+    return;
+  }
+  state.SetLabel(shani ? "sha-ni" : "portable");
+  const auto compress =
+      shani ? detail::sha256_compress_shani : detail::sha256_compress_portable;
+  const std::vector<std::uint8_t> block(64, 0xAB);
+  Sha256::State chain{};
+  for (auto _ : state) {
+    compress(chain, block.data());
+    benchmark::DoNotOptimize(chain.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_Sha256Compress)->Arg(0)->Arg(1);
 
 void BM_RsaSign(benchmark::State& state) {
   std::mt19937_64 eng{7};

@@ -50,7 +50,9 @@ struct StsBeacon final : sim::PayloadBase<StsBeacon> {
   [[nodiscard]] static std::vector<std::uint8_t> auth_bytes(
       sim::NodeId origin, std::uint64_t seq, sim::Vec2 pos,
       const std::vector<sim::NodeId>& neighbors) {
-    WireWriter w;
+    std::vector<std::uint8_t> buf;
+    buf.reserve(32 + 4 * neighbors.size());  // the exact length written below
+    WireWriter w{std::move(buf)};
     w.u32(origin);
     w.u64(seq);
     w.f64(pos.x);

@@ -110,7 +110,7 @@ void SecureTopologyService::send_beacon() {
                                           beacon->neighbors);
   beacon->tags.reserve(beacon->neighbors.size());
   for (const sim::NodeId id : beacon->neighbors) {
-    beacon->tags.push_back(crypto::hmac_sha256(peers_.at(id).key, std::span{auth}));
+    beacon->tags.push_back(peers_.at(id).tag_key.mac(auth));
   }
 
   sim::Packet packet;
@@ -155,8 +155,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
   bool verified = false;
   for (std::size_t i = 0; i < beacon.neighbors.size() && i < beacon.tags.size(); ++i) {
     if (beacon.neighbors[i] == node_.id()) {
-      verified = crypto::digest_equal(beacon.tags[i],
-                                      crypto::hmac_sha256(peer.key, std::span{auth}));
+      verified = crypto::digest_equal(beacon.tags[i], peer.tag_key.mac(auth));
       break;
     }
   }
@@ -209,6 +208,18 @@ void SecureTopologyService::send_nsl(sim::NodeId to, int phase, crypto::Cipherte
   node_.stats().add("sts.nsl_sent");
 }
 
+void SecureTopologyService::complete_handshake(PeerState& peer, crypto::SessionKey key,
+                                               sim::Time t) {
+  peer.authenticated = true;
+  // The beacon tags' key schedule is rebuilt with every session key: a
+  // re-keyed link must not keep tagging under the old one.
+  peer.key = key;
+  peer.tag_key = crypto::HmacKey{key};
+  peer.last_heard = t;  // the handshake itself is authenticated contact
+  peer.handshake.reset();
+  node_.stats().add("sts.handshakes_completed");
+}
+
 void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
   const sim::Time t = now();
   switch (msg.phase) {
@@ -232,11 +243,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       const auto msg3 = peer.handshake->on_message2(msg.ct, cipher_);
       if (!msg3) return;
       send_nsl(from, 3, *msg3);
-      peer.authenticated = true;
-      peer.key = peer.handshake->session_key();
-      peer.last_heard = t;  // the handshake itself is authenticated contact
-      peer.handshake.reset();
-      node_.stats().add("sts.handshakes_completed");
+      complete_handshake(peer, peer.handshake->session_key(), t);
       break;
     }
     case 3: {
@@ -244,11 +251,7 @@ void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {
       if (it == peers_.end() || !it->second.handshake) return;
       PeerState& peer = it->second;
       if (!peer.handshake->on_message3(msg.ct, cipher_)) return;
-      peer.authenticated = true;
-      peer.key = peer.handshake->session_key();
-      peer.last_heard = t;
-      peer.handshake.reset();
-      node_.stats().add("sts.handshakes_completed");
+      complete_handshake(peer, peer.handshake->session_key(), t);
       break;
     }
     default:

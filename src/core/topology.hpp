@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/ns_lowe.hpp"
 #include "net/host.hpp"
 #include "sim/rng.hpp"
@@ -68,6 +69,7 @@ class SecureTopologyService {
   struct PeerState {
     bool authenticated{false};
     crypto::SessionKey key{};
+    crypto::HmacKey tag_key;  ///< key's schedule, set with it by complete_handshake
     sim::Time last_heard{-1e18};  ///< last authenticated contact
     sim::Vec2 pos;
     bool pos_known{false};
@@ -80,6 +82,7 @@ class SecureTopologyService {
   void send_beacon();
   void handle_beacon(const StsBeacon& beacon, sim::NodeId from);
   void handle_nsl(const NslMsg& msg, sim::NodeId from);
+  void complete_handshake(PeerState& peer, crypto::SessionKey key, sim::Time t);
   void maybe_begin_handshake(sim::NodeId peer);
   void send_nsl(sim::NodeId to, int phase, crypto::Ciphertext ct);
   [[nodiscard]] crypto::Nonce fresh_nonce();

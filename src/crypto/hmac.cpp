@@ -5,31 +5,38 @@
 
 namespace icc::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
-  if (key.size() > 64) {
+  if (key.size() > block.size()) {
     const Digest kd = Sha256::hash(key);
     std::memcpy(block.data(), kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {  // data() may be null, which memcpy must not see
     std::memcpy(block.data(), key.data(), key.size());
   }
 
-  std::array<std::uint8_t, 64> ipad{};
-  std::array<std::uint8_t, 64> opad{};
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(block[i] ^ 0x5c);
-  }
-
+  for (std::uint8_t& b : block) b ^= 0x36;
   Sha256 inner;
-  inner.update(std::span<const std::uint8_t>{ipad});
+  inner.update(block);
+  inner_ = inner.state_;
+
+  for (std::uint8_t& b : block) b ^= 0x36 ^ 0x5c;
+  Sha256 outer;
+  outer.update(block);
+  outer_ = outer.state_;
+}
+
+Digest HmacKey::mac(std::span<const std::uint8_t> msg) const {
+  Sha256 inner{inner_};
   inner.update(msg);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>{opad});
-  outer.update(std::span<const std::uint8_t>{inner_digest});
+  Sha256 outer{outer_};
+  outer.update(inner_digest);
   return outer.finish();
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+  return HmacKey{key}.mac(msg);
 }
 
 Digest hmac_sha256(const Digest& key, std::string_view msg) {

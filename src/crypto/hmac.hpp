@@ -10,7 +10,24 @@
 
 namespace icc::crypto {
 
-/// HMAC-SHA256 of `msg` under `key`.
+/// A key's HMAC-SHA256 schedule: the SHA-256 midstates after absorbing the
+/// key's ipad block and its opad block. A MAC resumes from them, so it costs
+/// the message's blocks plus one outer block; build one per long-lived key.
+class HmacKey {
+ public:
+  /// Hashes nothing; mac() on it is no HMAC. Assign a keyed schedule first.
+  HmacKey() = default;
+  explicit HmacKey(std::span<const std::uint8_t> key);
+
+  /// HMAC-SHA256 of `msg` under this key.
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> msg) const;
+
+ private:
+  Sha256::State inner_{};
+  Sha256::State outer_{};
+};
+
+/// HMAC-SHA256 of `msg` under `key`: HmacKey{key}.mac(msg).
 Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg);
 
 /// Convenience for digest-sized keys and string messages.

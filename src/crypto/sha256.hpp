@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,6 +16,9 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 context.
 class Sha256 {
  public:
+  /// The eight chaining words between blocks (a midstate).
+  using State = std::array<std::uint32_t, 8>;
+
   Sha256() { reset(); }
 
   void reset();
@@ -29,9 +33,14 @@ class Sha256 {
   static Digest hash(std::string_view s);
 
  private:
+  friend class HmacKey;
+
+  /// Resumes from `midstate`, the state after exactly one 64-byte block.
+  explicit Sha256(const State& midstate) : state_{midstate}, total_len_{64} {}
+
   void process_block(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 8> state_{};
+  State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_{0};
   std::size_t buffer_len_{0};

@@ -159,6 +159,57 @@ TEST_F(TopologyTest, SpoofedBeaconDoesNotRefreshLink) {
   EXPECT_FALSE(sts(0).is_neighbor(1));
 }
 
+TEST_F(TopologyTest, BeaconsVerifyUnderTheCurrentSessionKey) {
+  // Node 1 re-keys with node 0 after an outage, then falls silent while
+  // node 2 injects beacons in its name tagged under one of the two keys.
+  // Only tags under the current session key may keep the link alive.
+  const auto listed_after_forgery = [this](bool current_key) {
+    circles_.clear();
+    build({{0, 0}, {100, 0}, {50, 50}});
+    world_->run_until(5.0);
+    const crypto::SessionKey* first = sts(0).session_with(1);
+    EXPECT_NE(first, nullptr);
+    if (first == nullptr) return false;
+    const crypto::SessionKey old_key = *first;
+
+    world_->node(1).set_down(true);
+    world_->run_until(8.0);
+    world_->node(1).set_down(false);
+    world_->run_until(10.0);
+    const crypto::SessionKey* rekeyed = sts(0).session_with(1);
+    EXPECT_NE(rekeyed, nullptr);
+    if (rekeyed == nullptr) return false;
+    const crypto::SessionKey new_key = *rekeyed;
+    EXPECT_FALSE(crypto::digest_equal(new_key, old_key));
+    world_->node(1).set_down(true);
+
+    const crypto::SessionKey key = current_key ? new_key : old_key;
+    for (int i = 0; i < 16; ++i) {
+      world_->sched().schedule_in(0.25 * (i + 1), [this, key, i] {
+        auto forged = std::make_shared<StsBeacon>();
+        forged->origin = 1;
+        forged->seq = 1000 + static_cast<std::uint64_t>(i);
+        forged->pos = {100, 0};
+        forged->neighbors = {0};
+        forged->tags.push_back(crypto::hmac_sha256(
+            key, StsBeacon::auth_bytes(forged->origin, forged->seq, forged->pos,
+                                       forged->neighbors)));
+        sim::Packet packet;
+        packet.src = 1;
+        packet.dst = sim::kBroadcast;
+        packet.port = sim::Port::kSts;
+        packet.size_bytes = 60;
+        packet.body = std::move(forged);
+        world_->node(2).link_send_unfiltered(std::move(packet), sim::kBroadcast);
+      });
+    }
+    world_->run_until(13.5);
+    return sts(0).is_neighbor(1);
+  };
+  EXPECT_TRUE(listed_after_forgery(true));
+  EXPECT_FALSE(listed_after_forgery(false));
+}
+
 TEST_F(TopologyTest, DenseCircleDiscoversEveryone) {
   // 8 nodes all mutually in range: every inner circle has 7 members.
   std::vector<sim::Vec2> positions;

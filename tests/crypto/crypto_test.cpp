@@ -2,6 +2,8 @@
 // threshold RSA, the two ThresholdScheme implementations, and NS-Lowe.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iostream>
 #include <random>
 
 #include "crypto/hmac.hpp"
@@ -11,6 +13,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/shoup_scheme.hpp"
 #include "crypto/threshold_rsa.hpp"
 
@@ -46,15 +49,65 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256, LongMessagePaddingBoundaries) {
-  // Lengths straddling the 55/56/64-byte padding boundaries must all work.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
+  // 'a' x len straddling the 55/56/64-byte padding boundaries: the 0x80
+  // byte and the length share a block up to 55 bytes and spill into a
+  // second one from 56. Expected digests from Python's hashlib.
+  const std::pair<std::size_t, std::string_view> cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {57, "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [len, hex] : cases) {
     const std::string m(len, 'a');
     Sha256 a;
     a.update(m);
-    const Digest d1 = a.finish();
-    const Digest d2 = Sha256::hash(m);
-    EXPECT_EQ(d1, d2) << len;
+    EXPECT_EQ(to_hex(a.finish()), hex) << len;
+    EXPECT_EQ(to_hex(Sha256::hash(m)), hex) << len;
   }
+}
+
+TEST(Sha256, Fips180MillionAs) {
+  EXPECT_EQ(to_hex(Sha256::hash(std::string(1000000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  // An empty span may carry a null data(); after a partial block the
+  // update used to hand it to memcpy.
+  Sha256 ctx;
+  ctx.update("a");
+  ctx.update(std::span<const std::uint8_t>{});
+  ctx.update("b");
+  EXPECT_EQ(to_hex(ctx.finish()),
+            "fb8e20fc2e4c3f248c60c39bd652f3c1347298bb977b8b4d5903b85055620603");
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortable) {
+  if (!detail::sha256_shani_supported()) {
+    GTEST_SKIP() << "CPU lacks SHA extensions: only the portable kernel runs here";
+  }
+  std::mt19937_64 eng{180};
+  constexpr int kPairs = 10000;
+  for (int n = 0; n < kPairs; ++n) {
+    Sha256::State portable{};
+    for (std::uint32_t& word : portable) word = static_cast<std::uint32_t>(eng());
+    std::array<std::uint8_t, 64> block{};
+    for (std::size_t i = 0; i < block.size(); i += 8) {
+      const std::uint64_t r = eng();
+      std::memcpy(block.data() + i, &r, 8);
+    }
+    Sha256::State shani = portable;
+    detail::sha256_compress_portable(portable, block.data());
+    detail::sha256_compress_shani(shani, block.data());
+    ASSERT_EQ(portable, shani) << "pair " << n;
+  }
+  std::cout << "[   INFO   ] sha-ni kernel matched the portable one on " << kPairs
+            << " (state, block) pairs\n";
 }
 
 // ------------------------------------------------------------------- HMAC
@@ -72,6 +125,72 @@ TEST(Hmac, Rfc4231Vector2) {
       std::span{reinterpret_cast<const std::uint8_t*>("Jefe"), 4},
       std::span{reinterpret_cast<const std::uint8_t*>("what do ya want for nothing?"), 28});
   EXPECT_EQ(to_hex(mac), "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+TEST(Hmac, Rfc4231Vectors3467) {
+  // Cases 6 and 7 use a 131-byte key, longer than a block: it is hashed
+  // first.
+  const std::vector<std::uint8_t> key3(20, 0xaa);
+  const std::vector<std::uint8_t> data3(50, 0xdd);
+  EXPECT_EQ(to_hex(hmac_sha256(key3, data3)),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+
+  std::vector<std::uint8_t> key4(25);
+  for (std::size_t i = 0; i < key4.size(); ++i) key4[i] = static_cast<std::uint8_t>(i + 1);
+  const std::vector<std::uint8_t> data4(50, 0xcd);
+  EXPECT_EQ(to_hex(hmac_sha256(key4, data4)),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+
+  const std::vector<std::uint8_t> key67(131, 0xaa);
+  EXPECT_EQ(to_hex(hmac_sha256(key67, bytes("Test Using Larger Than Block-Size Key - "
+                                            "Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(to_hex(hmac_sha256(
+                key67, bytes("This is a test using a larger than block-size key and a "
+                             "larger than block-size data. The key needs to be hashed "
+                             "before being used by the HMAC algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST(Hmac, EmptyKey) {
+  const std::array<std::uint8_t, 3> msg = {0x01, 0x02, 0x03};
+  EXPECT_EQ(to_hex(hmac_sha256(std::span<const std::uint8_t>{}, msg)),
+            "c25cf64db0f3339e7e80fbd6e0be879956a6a3d7e4987a2a4d01fb90f27b5639");
+}
+
+TEST(HmacKey, MacMatchesTextbookHmac) {
+  // H((K ^ opad) || H((K ^ ipad) || m)), built from one-shot Sha256::hash,
+  // for every message length 0-200 and keys shorter than, as long as and
+  // longer than the 64-byte block.
+  std::mt19937_64 eng{2104};
+  for (const std::size_t key_len : {0u, 20u, 32u, 64u, 65u, 131u}) {
+    std::vector<std::uint8_t> key(key_len);
+    for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(eng());
+    std::vector<std::uint8_t> k0(64, 0);
+    if (key_len > 64) {
+      const Digest kd = Sha256::hash(key);
+      std::copy(kd.begin(), kd.end(), k0.begin());
+    } else {
+      std::copy(key.begin(), key.end(), k0.begin());
+    }
+    const HmacKey schedule{key};
+    for (std::size_t len = 0; len <= 200; ++len) {
+      std::vector<std::uint8_t> msg(len);
+      for (std::uint8_t& b : msg) b = static_cast<std::uint8_t>(eng());
+
+      std::vector<std::uint8_t> inner(k0);
+      for (std::uint8_t& b : inner) b ^= 0x36;
+      inner.insert(inner.end(), msg.begin(), msg.end());
+      const Digest inner_digest = Sha256::hash(inner);
+      std::vector<std::uint8_t> outer(k0);
+      for (std::uint8_t& b : outer) b ^= 0x5c;
+      outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+      const Digest textbook = Sha256::hash(outer);
+
+      ASSERT_EQ(schedule.mac(msg), textbook) << "key " << key_len << " msg " << len;
+      ASSERT_EQ(hmac_sha256(key, msg), textbook) << "key " << key_len << " msg " << len;
+    }
+  }
 }
 
 TEST(Hmac, DifferentKeysDiffer) {
