@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -114,13 +113,11 @@ int main() {
   const int plans = icc::exp::env_int("ICC_CHAOS_PLANS", 100);
   const double sim_time = icc::exp::env_double("ICC_CHAOS_TIME", 15.0);
   const int nodes = icc::exp::env_int("ICC_CHAOS_NODES", 16);
-  const std::uint64_t base_seed = std::strtoull(
-      icc::exp::env_string("ICC_CHAOS_SEED", "424242").c_str(), nullptr, 10);
-  const std::string repro = icc::exp::env_string("ICC_CHAOS_REPRO");
+  const std::uint64_t base_seed = icc::exp::env_u64("ICC_CHAOS_SEED", 424242);
 
   std::vector<std::uint64_t> seeds;
-  if (!repro.empty()) {
-    seeds.push_back(std::strtoull(repro.c_str(), nullptr, 10));
+  if (!icc::exp::env_string("ICC_CHAOS_REPRO").empty()) {
+    seeds.push_back(icc::exp::env_u64("ICC_CHAOS_REPRO", 0));
   } else {
     seeds.reserve(static_cast<std::size_t>(plans));
     for (int i = 0; i < plans; ++i) {

@@ -164,8 +164,7 @@ int main() {
   const int nodes = icc::exp::env_int("ICC_DEFENSE_NODES", 24);
   const double sim_time = icc::exp::env_double("ICC_DEFENSE_TIME", 30.0);
   const int connections = icc::exp::env_int("ICC_DEFENSE_CONNECTIONS", 4);
-  const auto base_seed =
-      static_cast<std::uint64_t>(icc::exp::env_int("ICC_DEFENSE_SEED", 7));
+  const std::uint64_t base_seed = icc::exp::env_u64("ICC_DEFENSE_SEED", 7);
 
   std::vector<AttackKind> attacks;
   const std::string attack_csv = icc::exp::env_string(
@@ -178,11 +177,14 @@ int main() {
     attacks.push_back(*kind);
   }
 
-  std::vector<int> levels;
-  for (const std::string& item : split_csv(icc::exp::env_string("ICC_DEFENSE_LEVELS", "1,2"))) {
-    const int level = std::atoi(item.c_str());
-    if (level < 1) bad_attack_name(item);  // reuse the loud-abort path
-    levels.push_back(level);
+  const std::vector<int> levels = icc::exp::env_int_list("ICC_DEFENSE_LEVELS", {1, 2});
+  for (const int level : levels) {
+    if (level < 1) {
+      std::fprintf(stderr, "defense_matrix: ICC_DEFENSE_LEVELS has level %d; "
+                           "the inner-circle dependability level L must be at least 1\n",
+                   level);
+      std::abort();
+    }
   }
 
   std::printf("defense matrix: %zu attack(s) x %zu defense(s), %d nodes, %.0f s/cell\n\n",

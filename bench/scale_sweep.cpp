@@ -41,20 +41,6 @@
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& spec) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item = spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                                         : comma - pos);
-    if (!item.empty()) out.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 /// One point on the engine axis: which event loop.
 struct Engine {
   std::string label;  ///< axis label, e.g. "grid", "exec4"
@@ -65,15 +51,15 @@ struct Engine {
 
 int main() {
   const std::string nodes_spec = icc::exp::env_string("ICC_SCALE_NODES", "100,1000,10000");
-  const std::vector<int> node_counts = parse_int_list(nodes_spec);
+  const std::vector<int> node_counts =
+      icc::exp::env_int_list("ICC_SCALE_NODES", {100, 1000, 10000});
   const double sim_time = icc::exp::env_double("ICC_SCALE_TIME", 20.0);
   const int runs = icc::exp::env_int("ICC_SCALE_RUNS", 1);
+  // A lone "," asks for the serial engine only: no execK rows.
   const std::vector<int> thread_counts =
-      parse_int_list(icc::exp::env_string("ICC_SCALE_THREADS", "1,2,4,8"));
-  if (node_counts.empty()) {
-    std::fprintf(stderr, "ICC_SCALE_NODES parsed to an empty list\n");
-    return 1;
-  }
+      icc::exp::env_string("ICC_SCALE_THREADS") == ","
+          ? std::vector<int>{}
+          : icc::exp::env_int_list("ICC_SCALE_THREADS", {1, 2, 4, 8});
 
   std::vector<Engine> engines;
   engines.push_back({"grid", 0});
@@ -123,10 +109,10 @@ int main() {
     config.sim_time = sim_time;
     config.seed = ctx.seed;
     config.sim_threads = engine.sim_threads;
-    // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
+    // icc:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
     const auto start = std::chrono::steady_clock::now();
     const auto r = icc::aodv::run_blackhole_experiment(config);
-    // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
+    // icc:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
     const auto stop = std::chrono::steady_clock::now();
     const double wall_s = std::chrono::duration<double>(stop - start).count();
     icc::exp::JobOutputs out;

@@ -54,10 +54,10 @@ ModeResult run_mode(const char* mode, const icc::aodv::BlackholeExperimentConfig
   }
   ModeResult result;
   result.mode = mode;
-  // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
+  // icc:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
   const auto start = std::chrono::steady_clock::now();
   result.sim = icc::aodv::run_blackhole_experiment(config);
-  // detlint:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
+  // icc:allow(wall-clock): perf bench measures host wall time only; results never feed simulated state
   const auto stop = std::chrono::steady_clock::now();
   result.wall_s = std::chrono::duration<double>(stop - start).count();
   result.events_per_s = result.wall_s > 0.0

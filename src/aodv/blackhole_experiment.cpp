@@ -192,40 +192,4 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
   return result;
 }
 
-BlackholeExperimentResult run_blackhole_experiment_averaged(BlackholeExperimentConfig config,
-                                                            int runs) {
-  BlackholeExperimentResult total;
-  for (int r = 0; r < runs; ++r) {
-    config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
-    const BlackholeExperimentResult one = run_blackhole_experiment(config);
-    total.packets_sent += one.packets_sent;
-    total.packets_received += one.packets_received;
-    total.throughput += one.throughput;
-    total.mean_energy_j += one.mean_energy_j;
-    total.mean_latency_s += one.mean_latency_s;
-    total.blackhole_dropped += one.blackhole_dropped;
-    total.raw_rreps_suppressed += one.raw_rreps_suppressed;
-    total.voting_rounds += one.voting_rounds;
-    total.watchdog_blacklisted += one.watchdog_blacklisted;
-    total.mac_collisions += one.mac_collisions;
-    total.control_packets += one.control_packets;
-    for (std::size_t k = 0; k < fault::kNumAttackKinds; ++k) {
-      total.attack_kind_injected[k] += one.attack_kind_injected[k];
-    }
-    total.throughput_runs.add(one.throughput);
-    total.energy_runs.add(one.mean_energy_j);
-    total.latency_runs.add(one.mean_latency_s);
-    for (const double e : one.node_energy_j) total.node_energy_runs.add(e);
-    total.node_energy_j = one.node_energy_j;
-    total.coverage = one.coverage;
-    total.coverage_consistent = total.coverage_consistent && one.coverage_consistent;
-    total.profile = one.profile;
-  }
-  const double k = runs > 0 ? static_cast<double>(runs) : 1.0;
-  total.throughput /= k;
-  total.mean_energy_j /= k;
-  total.mean_latency_s /= k;
-  return total;
-}
-
 }  // namespace icc::aodv

@@ -118,21 +118,9 @@ struct BlackholeExperimentResult {
   /// Wall-clock profile of the (last) run's scheduler (empty unless
   /// ICC_PROFILE was set).
   sim::SchedulerProfile profile{};
-
-  // Cross-run distributions, filled by run_blackhole_experiment_averaged:
-  // one sample per run (node_energy_runs: one per node per run), so
-  // mean/stddev quantify run-to-run variability.
-  sim::SampleSeries throughput_runs;
-  sim::SampleSeries energy_runs;
-  sim::SampleSeries latency_runs;
-  sim::SampleSeries node_energy_runs;
 };
 
 /// Run one seeded instance of the experiment.
 BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConfig& config);
-
-/// Run `runs` instances with distinct seeds and average the metrics.
-BlackholeExperimentResult run_blackhole_experiment_averaged(BlackholeExperimentConfig config,
-                                                            int runs);
 
 }  // namespace icc::aodv

@@ -20,7 +20,7 @@ namespace icc::exp {
 
 namespace {
 
-// detlint:allow(wall-clock): drives throughput/ETA reporting only; never feeds job seeds or outputs
+// icc:allow(wall-clock): drives throughput/ETA reporting only; never feeds job seeds or outputs
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {

@@ -222,10 +222,6 @@ SensorExperimentResult run_sensor_experiment_averaged(SensorExperimentConfig con
     total.targets_detected += one.targets_detected;
     total.coverage = one.coverage;
     total.coverage_consistent = total.coverage_consistent && one.coverage_consistent;
-    total.miss_prob_runs.add(one.miss_prob);
-    total.false_alarm_runs.add(one.false_alarm_prob);
-    total.active_energy_runs.add(one.active_energy_mj);
-    total.latency_runs.add(one.detection_latency_s);
   }
   const double k = runs > 0 ? static_cast<double>(runs) : 1.0;
   total.miss_prob /= k;

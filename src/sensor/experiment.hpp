@@ -67,13 +67,6 @@ struct SensorExperimentResult {
   /// the ledger's accounting-invariant verdict, from the (last) run.
   std::array<fault::CoverageRow, fault::kNumFaultClasses> coverage{};
   bool coverage_consistent{true};
-
-  // Cross-run distributions, filled by run_sensor_experiment_averaged: one
-  // sample per run, so mean/stddev quantify run-to-run variability.
-  sim::SampleSeries miss_prob_runs;
-  sim::SampleSeries false_alarm_runs;
-  sim::SampleSeries active_energy_runs;
-  sim::SampleSeries latency_runs;
 };
 
 SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& config);

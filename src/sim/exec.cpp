@@ -359,10 +359,10 @@ void Executive::run_worker_share(std::size_t w) {
     sched_.release(*slot, static_cast<std::uint32_t>(k.id & 0xffffffffu));
     ++ctx.log->executed[static_cast<std::size_t>(tag)];
     if (profiling) {
-      // detlint:allow(wall-clock): profiler measures host cost only; results never reach simulated state
+      // icc:allow(wall-clock): profiler measures host cost only; results never reach simulated state
       const auto t0 = std::chrono::steady_clock::now();
       fn();
-      // detlint:allow(wall-clock): profiler measures host cost only; results never reach simulated state
+      // icc:allow(wall-clock): profiler measures host cost only; results never reach simulated state
       const auto t1 = std::chrono::steady_clock::now();
       ctx.log->wall_seconds[static_cast<std::size_t>(tag)] +=
           std::chrono::duration<double>(t1 - t0).count();

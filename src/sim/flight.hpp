@@ -23,7 +23,7 @@
 //   FlightRecord[count]       56 bytes each, see below
 //   { uint32 len; char[len] } * string_count   detail table; detail_id 0 = ""
 //
-// Records never contain pointers or other address-space values (the detlint
+// Records never contain pointers or other address-space values (iccheck's
 // trace-pointer rule guards this): a same-seed run reproduces the ring
 // byte-for-byte, so two dumps can be diffed with tools/tracq.
 #pragma once

@@ -129,10 +129,10 @@ void Scheduler::execute(std::function<void()>&& fn, EventTag tag) {
   ++executed_;
   ++profile_.executed[static_cast<std::size_t>(tag)];
   if (profiling_) {
-    // detlint:allow(wall-clock): profiler measures host cost only; results never reach simulated state
+    // icc:allow(wall-clock): profiler measures host cost only; results never reach simulated state
     const auto t0 = std::chrono::steady_clock::now();
     fn();
-    // detlint:allow(wall-clock): profiler measures host cost only; results never reach simulated state
+    // icc:allow(wall-clock): profiler measures host cost only; results never reach simulated state
     const auto t1 = std::chrono::steady_clock::now();
     profile_.wall_seconds[static_cast<std::size_t>(tag)] +=
         std::chrono::duration<double>(t1 - t0).count();

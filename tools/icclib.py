@@ -1,9 +1,10 @@
-"""icclib — shared source-scanning machinery for tools/detlint and tools/iccheck.
+"""icclib — source-scanning machinery for tools/iccheck.
 
-Both linters promise the same things: dependency-free (stdlib only),
-line-accurate findings, and scanning that understands C++ lexing well
-enough not to fire inside comments, string literals, or preprocessor
-directives.  This module is that shared substrate:
+iccheck promises dependency-free (stdlib only), line-accurate findings from
+scanning that understands C++ lexing well enough not to fire inside
+comments, string literals, or preprocessor directives.  This module keeps
+the lexer, the manifest TOML subset and the compile-database format out of
+the analyzer's passes:
 
   strip_comments     comment/string-aware text blanking (line-preserving)
   lex                a flat token stream (identifiers, numbers, punctuation)
@@ -23,8 +24,7 @@ import re
 
 
 # ---------------------------------------------------------------------------
-# Comment/string stripping (moved verbatim from tools/detlint, which now
-# imports it; the two tools must agree on what "code" means).
+# Comment/string stripping (every pass agrees on what "code" means)
 # ---------------------------------------------------------------------------
 
 def strip_comments(text):
@@ -481,7 +481,7 @@ class IncludeGraph:
 
 
 def collect_cxx_files(roots, extensions=(".hpp", ".cpp", ".h", ".cc")):
-    """Sorted file walk mirroring detlint's collect_files."""
+    """Sorted walk of the C++ sources under `roots` (files or directories)."""
     files = []
     for root in roots:
         if os.path.isfile(root):
