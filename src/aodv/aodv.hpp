@@ -25,7 +25,6 @@
 
 namespace icc::aodv {
 
-// icc:affinity(node)
 class Aodv {
  public:
   struct Params {

@@ -26,7 +26,6 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
   world_config.tx_range = config.tx_range;
   world_config.seed = config.seed;
   world_config.spatial_grid = config.spatial_grid;
-  world_config.sim_threads = config.sim_threads;
   sim::World world{world_config};
   if (config.world_hook) config.world_hook(world);
 

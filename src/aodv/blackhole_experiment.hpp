@@ -68,14 +68,10 @@ struct BlackholeExperimentConfig {
   std::uint64_t seed{1};
 
   /// Serve radio neighbor queries from the spatial index (sim/grid.hpp).
-  /// Results are byte-identical either way; bench/scale_sweep turns it off
-  /// to measure the brute-force baseline.
+  /// Results are byte-identical either way (WorldConfig::spatial_grid).
   bool spatial_grid{true};
 
-  /// Within-run worker threads for the parallel cell executive; forwarded
-  /// to WorldConfig::sim_threads (-1 = read ICC_SIM_THREADS, 0 = legacy
-  /// serial engine). Outputs are byte-identical at any count >= 1.
-  int sim_threads{-1};
+  int sim_threads{0};  ///< unread; exists for perfbench, goes with the next benchmark change
 
   /// Invoked on the freshly constructed (still empty) World. Deployment
   /// parity hook: entry points install net::attach_sim_codec here when

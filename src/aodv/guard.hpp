@@ -43,7 +43,6 @@ struct SecParams {
   bool suspect_on_reject{false};
 };
 
-// icc:affinity(node)
 class AodvGuard {
  public:
   AodvGuard(Aodv& aodv, core::InnerCircleNode& icc, SecParams sec = {});

@@ -36,7 +36,6 @@
 
 namespace icc::aodv {
 
-// icc:affinity(node)
 class MisbehaviorAodv final : public Aodv {
  public:
   MisbehaviorAodv(net::Host& node, Params params, fault::ProtocolFault spec);

@@ -21,7 +21,6 @@
 
 namespace icc::aodv {
 
-// icc:affinity(node)
 class Watchdog {
  public:
   struct Params {

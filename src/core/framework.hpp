@@ -37,7 +37,6 @@ struct InnerCircleConfig {
   sim::Time suspicion_duration{120.0};
 };
 
-// icc:affinity(node)
 class InnerCircleNode {
  public:
   /// Matches a packet the application wants checked; `next_hop` is the

@@ -32,7 +32,6 @@ struct EscalationParams {
   bool convict_partners{false};
 };
 
-// icc:affinity(node)
 class SuspicionsManager {
  public:
   /// Default temporary-suspicion duration ("a few minutes" in the paper).

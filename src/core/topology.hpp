@@ -26,7 +26,6 @@
 
 namespace icc::core {
 
-// icc:affinity(node)
 class SecureTopologyService {
  public:
   struct Params {

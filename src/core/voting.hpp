@@ -32,7 +32,6 @@
 
 namespace icc::core {
 
-// icc:affinity(node)
 class IvsService {
  public:
   struct Params {

@@ -2,8 +2,8 @@
 // campaign runner.
 //
 // Every reader used to carry its own parsing; the helpers live here once so
-// the knob set (ICC_RUNS, ICC_SIM_TIME, ICC_THREADS, ICC_SIM_THREADS,
-// ICC_TRACE, ICC_FLIGHT, ...) is parsed uniformly. The header uses only the
+// the knob set (ICC_RUNS, ICC_SIM_TIME, ICC_THREADS, ICC_TRACE,
+// ICC_FLIGHT, ...) is parsed uniformly. The header uses only the
 // standard library, so tools/layers.toml files it under sim_base and sim/
 // includes it.
 //
@@ -97,26 +97,6 @@ inline double env_double(const char* name, double fallback) {
 inline std::string env_string(const char* name, const char* fallback = "") {
   const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): nothing modifies the environment once runs start
   return v != nullptr && *v != '\0' ? std::string{v} : std::string{fallback};
-}
-
-/// Across-run parallelism: worker processes/threads the exp Runner uses to
-/// execute independent campaign runs concurrently. Distinct from
-/// ICC_SIM_THREADS, which parallelizes *one* run via the cell executive
-/// (sim/exec.hpp). Warns when both are set aggressively: N runner workers x
-/// M executive workers oversubscribes the host N*M-fold, which slows both —
-/// pick one axis (across runs for campaigns, within a run for single large
-/// worlds).
-inline int env_runner_threads(int fallback = 1) {
-  const int runner = env_int("ICC_THREADS", fallback);
-  const int sim = env_int("ICC_SIM_THREADS", 0);
-  if (runner > 1 && sim > 1) {
-    std::fprintf(stderr,
-                 "env: warning: ICC_THREADS=%d and ICC_SIM_THREADS=%d are both > 1; "
-                 "the host will run %d simulator threads at once. Use ICC_THREADS "
-                 "for campaigns, ICC_SIM_THREADS for single large runs.\n",
-                 runner, sim, runner * sim);
-  }
-  return runner;
 }
 
 }  // namespace icc::exp

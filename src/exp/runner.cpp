@@ -183,7 +183,7 @@ CampaignResult run_campaign(const Campaign& campaign, const RunnerOptions& optio
     }
   }
 
-  int threads = options.threads > 0 ? options.threads : env_runner_threads(1);
+  int threads = options.threads > 0 ? options.threads : env_int("ICC_THREADS", 1);
   if (threads < 1) threads = 1;
   if (static_cast<std::size_t>(threads) > pending.size() && !pending.empty()) {
     threads = static_cast<int>(pending.size());

@@ -75,7 +75,6 @@ struct InjectionOptions {
   bool geo_leash{false};
 };
 
-// icc:affinity(world)
 class InjectionEngine {
  public:
   /// Installs hooks for `plan` on `world`. Construct after every node has

@@ -26,8 +26,6 @@ void report(net::Services& services, FaultClass c, sim::NodeId node, Stage stage
             sim::TraceType type, std::uint64_t span, std::uint64_t parent) {
   auto& metrics = services.metrics();
   const std::string base = stage_counter_name(c, stage);
-  // Named updates: ledger hits can fire from executive worker threads, where
-  // interning must be deferred to the serial barrier replay.
   metrics.add_named(base, 1.0);
   if (node != sim::kNoNode) {
     metrics.add_named(sim::MetricsRegistry::scoped(base, node), 1.0);

@@ -86,7 +86,6 @@ struct CoverageRow {
 /// Read-only view over a metrics registry's fault counters. Constructible
 /// from a World (the usual simulator path) or from a bare registry (testnet
 /// daemons, which have no World).
-// icc:affinity(world)
 class CoverageLedger {
  public:
   explicit CoverageLedger(const sim::World& world);

@@ -42,7 +42,6 @@ struct UdpConfig {
   double fault_reorder{0.0};
 };
 
-// icc:affinity(node)
 class UdpHost final : public Host, public Transport {
  public:
   explicit UdpHost(UdpConfig config);
@@ -105,7 +104,6 @@ class UdpHost final : public Host, public Transport {
   UdpConfig config_;
   SteadyClock clock_;
   sim::Stats stats_;
-  // icc:sync: owned by value; the daemon runs one host per process with no sim World behind it, so nothing is shared
   sim::Tracer tracer_;
   sim::Rng rng_;
   EnergyMeter energy_;

@@ -25,7 +25,6 @@
 
 namespace icc::sensor {
 
-// icc:affinity(node)
 class SensorApp {
  public:
   struct Params {

@@ -14,7 +14,6 @@
 
 namespace icc::sensor {
 
-// icc:affinity(node)
 class BaseStation {
  public:
   struct Detection {

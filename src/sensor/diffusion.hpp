@@ -44,7 +44,6 @@ struct NotificationMsg final : sim::PayloadBase<NotificationMsg> {
 
 /// Per-node diffusion agent. The node designated `sink` floods interests;
 /// everyone else forwards notifications along its gradient.
-// icc:affinity(node)
 class Diffusion {
  public:
   struct Params {

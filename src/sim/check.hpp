@@ -14,10 +14,6 @@
 //                          code they guard (container consistency scans,
 //                          uniqueness sets). Same semantics, different
 //                          budget expectations.
-//   ICC_REQUIRE(cond, msg) capacity limits whose violation would corrupt
-//                          state silently (an id field overflowing into
-//                          its neighbour). Armed in every build, so keep it
-//                          on growth paths, never on a per-event path.
 // Multi-line setup that exists only to feed a check belongs inside an
 // `#if ICC_CHECKED_ENABLED` block so Release builds don't carry it.
 #pragma once
@@ -52,14 +48,6 @@ inline InvariantHook& invariant_hook() noexcept {
 }
 
 }  // namespace icc::sim::detail
-
-#define ICC_REQUIRE(cond, msg)                                                       \
-  do {                                                                               \
-    if (!(cond)) {                                                                   \
-      ::icc::sim::detail::invariant_failed("ICC_REQUIRE", #cond, __FILE__, __LINE__, \
-                                           (msg));                                   \
-    }                                                                                \
-  } while (false)
 
 #if ICC_CHECKED_ENABLED
 

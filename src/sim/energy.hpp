@@ -18,7 +18,6 @@ struct EnergyParams {
 
 /// Accumulates radio airtime per state; total energy is derived lazily so
 /// the hot path only sums two doubles.
-// icc:affinity(node)
 class EnergyMeter {
  public:
   void charge_tx(double seconds) noexcept {

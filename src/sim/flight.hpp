@@ -69,7 +69,6 @@ struct FlightDump {
   std::vector<std::string> details;       ///< index 0 is always ""
 };
 
-// icc:affinity(world)
 class FlightRecorder {
  public:
   /// `dump_base` prefixes the files written by dump(): each recorder gets a

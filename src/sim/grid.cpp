@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "sim/check.hpp"
-#include "sim/exec_ctx.hpp"
 #include "sim/world.hpp"
 
 namespace icc::sim {
@@ -62,9 +61,6 @@ void SpatialGrid::rebin(NodeId id, Time now) {
   bin.snap = p;
   bin.deadline = speed > 0.0 ? now + kDeadlineSafety * slack_ / speed
                              : std::numeric_limits<double>::infinity();
-  // refresh_until floor: guarantees no deadline expires inside the window
-  // it prepares (and terminates the refresh loop for ultra-fast nodes).
-  if (bin.deadline < min_deadline_) bin.deadline = min_deadline_;
   if (bin.deadline < std::numeric_limits<double>::infinity()) {
     heap_.emplace_back(bin.deadline, id);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -116,11 +112,7 @@ void SpatialGrid::query(Vec2 center, double radius, Time now, std::vector<NodeId
   // Snapshot prefilter: a node whose bin-time snapshot is farther than
   // radius + slack from the center cannot satisfy the exact predicate (its
   // true position is within slack of the snapshot), so skipping it changes
-  // nothing. Beyond trimming candidates, the prefilter is what keeps this
-  // query safe on executive worker threads: live positions are read only
-  // for nodes within radius + 2*slack of the center — inside the conflict
-  // radius, where concurrent trajectory writes are excluded by component
-  // construction — while snapshots are stable for the whole window.
+  // nothing; it trims candidates before the live-position read.
   const double reach2 = reach * reach;
   for (std::uint32_t cy = y0; cy <= y1; ++cy) {
     for (std::uint32_t cx = x0; cx <= x1; ++cx) {
@@ -134,18 +126,14 @@ void SpatialGrid::query(Vec2 center, double radius, Time now, std::vector<NodeId
 
 #if ICC_CHECKED_ENABLED
   // Cross-check: the grid must reproduce a brute-force sweep (same
-  // predicate) exactly. This guards the binning/deadline machinery. Skipped
-  // on executive worker threads: the sweep reads every node's live
-  // position, which is only race-free inside the conflict radius.
-  if (exec_ctx() == nullptr) {
-    std::vector<NodeId> brute;
-    for (NodeId id = 0; id < world_.num_nodes(); ++id) {
-      if ((world_.node(id).position() - center).norm2() <= radius2) brute.push_back(id);
-    }
-    ICC_CHECK(out == brute,
-              "spatial grid diverged from the brute-force neighbor scan "
-              "(stale bin or broken Mobility::max_speed bound)");
+  // predicate) exactly. This guards the binning/deadline machinery.
+  std::vector<NodeId> brute;
+  for (NodeId id = 0; id < world_.num_nodes(); ++id) {
+    if ((world_.node(id).position() - center).norm2() <= radius2) brute.push_back(id);
   }
+  ICC_CHECK(out == brute,
+            "spatial grid diverged from the brute-force neighbor scan "
+            "(stale bin or broken Mobility::max_speed bound)");
 #endif
 }
 

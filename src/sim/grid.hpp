@@ -35,11 +35,6 @@ namespace icc::sim {
 
 class World;
 
-// Under the parallel executive the index is refreshed serially at window
-// formation (refresh_until); in-window queries are pure reads whose
-// live-position loads the bin-snapshot prefilter confines to the conflict
-// radius (DESIGN.md §16).
-// icc:affinity(world)
 class SpatialGrid {
  public:
   /// `cell_size` is the bin side in meters; `slack` is the movement budget a
@@ -58,29 +53,11 @@ class SpatialGrid {
   /// Re-bins handed out since construction (rebuilds count each node once).
   [[nodiscard]] std::uint64_t rebins() const noexcept { return rebins_; }
 
-  /// Movement budget per bin == query search-radius padding (meters). The
-  /// executive folds it into the conflict radius.
-  [[nodiscard]] double slack() const noexcept { return slack_; }
-
-  /// Bring every bin's validity guarantee up to (at least) time `t`, re-
-  /// binning at current positions. The parallel executive calls this
-  /// serially at window formation with the window end, so queries issued by
-  /// worker threads inside the window find no expired deadlines and mutate
-  /// nothing. Ultra-fast nodes whose natural guarantee is shorter than the
-  /// window get their deadline floored at `t` — sound, because a snapshot
-  /// taken now drifts at most max_speed * window-length (the executive's
-  /// lookahead, microseconds) before the window closes, far under `slack`.
-  void refresh_until(Time t) {
-    min_deadline_ = t;
-    refresh(t);
-    min_deadline_ = 0.0;
-  }
-
  private:
   struct Bin {
     std::uint32_t cell{0};
     Time deadline{0.0};  ///< snapshot guarantee expiry (+inf for static nodes)
-    Vec2 snap{};         ///< position at bin time (prefilter; stable in-window)
+    Vec2 snap{};         ///< position at bin time (query prefilter)
   };
 
   void refresh(Time now);
@@ -103,7 +80,6 @@ class SpatialGrid {
   std::uint64_t built_epoch_{0};
   bool built_{false};
   std::uint64_t rebins_{0};
-  Time min_deadline_{0.0};  ///< deadline floor while refresh_until is active
 };
 
 }  // namespace icc::sim

@@ -43,8 +43,8 @@ void Mac::schedule_attempt() {
                                         0, static_cast<std::uint32_t>(cw_)));
   world_.tracer().emit({world_.sched().now(), TraceType::kMacBackoff, node_.id(), kNoNode, 0,
                         0, backoff, nullptr});
-  attempt_event_ = world_.sched().schedule_in_owned(backoff, [this] { try_transmit(); },
-                                                    EventTag::kMac, node_.id());
+  attempt_event_ =
+      world_.sched().schedule_in(backoff, [this] { try_transmit(); }, EventTag::kMac);
 }
 
 void Mac::try_transmit() {
@@ -85,7 +85,7 @@ void Mac::transmit_current() {
 
   const bool needs_ack = frame.rx != kBroadcast;
   const std::uint64_t fid = frame.frame_id;
-  world_.sched().schedule_in_owned(duration, [this, needs_ack, fid] {
+  world_.sched().schedule_in(duration, [this, needs_ack, fid] {
     if (!needs_ack) {
       finish_current(true);
       return;
@@ -94,9 +94,9 @@ void Mac::transmit_current() {
     const double ack_air =
         params_.preamble + static_cast<double>(params_.ack_bytes) * 8.0 / params_.bitrate;
     const double timeout = params_.sifs + ack_air + 5.0 * params_.slot;
-    ack_timeout_event_ = world_.sched().schedule_in_owned(
-        timeout, [this] { on_ack_timeout(); }, EventTag::kMac, node_.id());
-  }, EventTag::kMac, node_.id());
+    ack_timeout_event_ =
+        world_.sched().schedule_in(timeout, [this] { on_ack_timeout(); }, EventTag::kMac);
+  }, EventTag::kMac);
 }
 
 void Mac::on_ack_timeout() {
@@ -168,9 +168,7 @@ void Mac::begin_reception(const Frame& frame, double duration) {
   receptions_.push_back(Reception{frame, now + duration, collided || frame.corrupted});
   const NodeId tx = frame.tx;
   const std::uint64_t fid = frame.frame_id;
-  // Explicit owner is load-bearing here: begin_reception runs inside the
-  // *transmitter's* event, but the completion belongs to this receiver.
-  world_.sched().schedule_in_owned(duration, [this, tx, fid] {
+  world_.sched().schedule_in(duration, [this, tx, fid] {
     auto it = std::find_if(receptions_.begin(), receptions_.end(),
                            [&](const Reception& r) {
                              return r.frame.tx == tx && r.frame.frame_id == fid;
@@ -180,7 +178,7 @@ void Mac::begin_reception(const Frame& frame, double duration) {
     receptions_.erase(it);
     // A transmission we started mid-reception marked it corrupted already.
     if (!rx.corrupted) handle_frame_arrival(rx);
-  }, EventTag::kMac, node_.id());
+  }, EventTag::kMac);
 }
 
 void Mac::handle_frame_arrival(Reception& rx) {
@@ -210,7 +208,7 @@ void Mac::handle_frame_arrival(Reception& rx) {
 void Mac::send_ack(const Frame& data_frame) {
   const NodeId dst = data_frame.tx;
   const std::uint64_t fid = data_frame.frame_id;
-  world_.sched().schedule_in_owned(params_.sifs, [this, dst, fid] {
+  world_.sched().schedule_in(params_.sifs, [this, dst, fid] {
     const Time now = world_.sched().now();
     if (transmitting(now) || node_.down()) return;
     Frame ack;
@@ -230,7 +228,7 @@ void Mac::send_ack(const Frame& data_frame) {
     tx_until_ = now + duration;
     node_.energy().charge_tx(duration);
     world_.medium().begin_transmission(ack, duration);
-  }, EventTag::kGeneric, node_.id());
+  });
 }
 
 }  // namespace icc::sim

@@ -35,7 +35,6 @@ struct MacParams {
 };
 
 /// Per-node MAC entity. Owns the transmit queue and the reception state.
-// icc:affinity(node)
 class Mac {
  public:
   /// Invoked when a unicast frame exhausted its retries.
@@ -78,7 +77,6 @@ class Mac {
   void handle_frame_arrival(Reception& rx);
   void send_ack(const Frame& data_frame);
 
-  // icc:sync: MAC schedules on the world clock and contends on the shared Medium; parallel DES serializes these through the owning cell
   World& world_;
   Node& node_;
   MacParams params_;

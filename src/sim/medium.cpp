@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/check.hpp"
-#include "sim/exec_log.hpp"
 #include "sim/world.hpp"
 
 namespace icc::sim {
@@ -22,32 +21,23 @@ void Medium::begin_transmission(const Frame& frame, double duration) {
   ICC_ASSERT(duration > 0.0, "a transmission must occupy the medium for positive time");
   ICC_ASSERT(frame.tx < world_.num_nodes(), "transmissions must come from a known node");
   // Conservation: radios are half-duplex, so counting this one there can
-  // never be more concurrent transmissions than nodes. The sweep reads every
-  // shard, which only a serially executing thread may do.
-  ICC_CHECK(exec_ctx() != nullptr || on_air_count(now) < world_.num_nodes(),
+  // never be more concurrent transmissions than nodes.
+  ICC_CHECK(on_air_count(now) < world_.num_nodes(),
             "more in-flight transmissions than transmitters: a frame leaked on the air");
-  if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
-    ++ctx->log->frames_sent;
-  } else {
-    ++frames_sent_;
-  }
+  ++frames_sent_;
   world_.tracer().emit({now, TraceType::kPacketTx, frame.tx, frame.rx, frame.packet.uid,
                         frame.packet.size_bytes, duration,
                         frame.is_ack ? "ack" : nullptr, frame.packet.uid,
                         frame.packet.parent});
   const Vec2 tx_pos = world_.node(frame.tx).position();
   // Each insert retires its own shard's expired entries, bounding shard
-  // growth without a global sweep; concurrent components never share a
-  // shard (conflict-radius argument, DESIGN.md §16).
+  // growth without a global sweep.
   auto& shard = air_shards_[static_cast<std::size_t>(shard_row(tx_pos.y)) * shards_x_ +
                            shard_col(tx_pos.x)];
   std::erase_if(shard, [now](const AirEntry& e) { return e.end <= now; });
   shard.push_back(AirEntry{now + duration, tx_pos});
-  // thread_local: each executive worker keeps its own receiver-candidate
-  // buffer, so the per-frame hot path still never allocates steady-state.
-  static thread_local std::vector<NodeId> rx_scratch;
-  world_.nodes_within(tx_pos, tx_range_, rx_scratch);
-  for (const NodeId i : rx_scratch) {
+  world_.nodes_within(tx_pos, tx_range_, rx_scratch_);
+  for (const NodeId i : rx_scratch_) {
     if (i == frame.tx) continue;
     Node& receiver = world_.node(i);
     if (receiver.down()) continue;
@@ -100,14 +90,6 @@ std::size_t Medium::on_air_count(Time now) const {
   return n;
 }
 
-void Medium::count_collision() noexcept {
-  if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
-    ++ctx->log->collisions;
-  } else {
-    ++collisions_;
-  }
-}
-
 std::uint32_t Medium::shard_col(double x) const noexcept {
   const double c = std::floor(x / shard_side_);
   if (!(c > 0.0)) return 0;  // also catches NaN
@@ -118,14 +100,6 @@ std::uint32_t Medium::shard_row(double y) const noexcept {
   const double r = std::floor(y / shard_side_);
   if (!(r > 0.0)) return 0;
   return std::min(shards_y_ - 1, static_cast<std::uint32_t>(r));
-}
-
-void Medium::set_delivery_filter(DeliveryFilter filter) {
-  delivery_filter_ = std::move(filter);
-  // Delivery filters may consult arbitrary world state (wormhole peers,
-  // channel fault schedules) from inside a transmission, which the
-  // conservative window cannot bound; such runs stay on the serial engine.
-  if (delivery_filter_) world_.set_serial_coupled();
 }
 
 }  // namespace icc::sim

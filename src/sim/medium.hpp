@@ -25,12 +25,6 @@ class World;
 /// of the reception).
 enum class DeliveryVerdict : std::uint8_t { kDeliver, kDrop, kCorrupt };
 
-// The air table is sharded by transmitter position. Under the parallel
-// executive the conflict radius (>= cs_range + shard diagonal) keeps any two
-// components' transmissions in disjoint shard neighborhoods, so shard
-// vectors need no locks (DESIGN.md §16). Counters are buffered per
-// component and merged at the barrier.
-// icc:affinity(world)
 class Medium {
  public:
   /// The air table covers the `width` x `height` area in square shards of
@@ -48,34 +42,23 @@ class Medium {
   [[nodiscard]] double tx_range() const noexcept { return tx_range_; }
   [[nodiscard]] double cs_range() const noexcept { return cs_range_; }
 
-  /// Total frames put on the air (all nodes). Serial (between-window) read.
+  /// Total frames put on the air (all nodes).
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   /// Transmissions still in progress at `now` (air-table occupancy; expired
   /// entries are skipped without being erased, so this is honestly const).
-  /// Serial read (the health sampler is world-owned).
   [[nodiscard]] std::size_t on_air_count(Time now) const;
   /// Frames destroyed by collisions (counted per victim reception).
   [[nodiscard]] std::uint64_t collisions() const noexcept { return collisions_; }
-  void count_collision() noexcept;
+  void count_collision() noexcept { ++collisions_; }
 
-  /// Merge a window component's counter deltas (executive barrier).
-  void merge_counters(std::uint64_t frames_sent, std::uint64_t collisions) noexcept {
-    frames_sent_ += frames_sent;
-    collisions_ += collisions;
-  }
-
-  /// Air-table shard side in meters. The executive folds the shard diagonal
-  /// into the conflict radius.
+  /// Air-table shard side in meters (cs_range / 3).
   [[nodiscard]] double air_shard_side() const noexcept { return shard_side_; }
 
   /// Fault-injection hook: consulted once per (frame, in-range receiver)
   /// pair; absent (the default), every in-range receiver gets the frame.
-  /// Replaces any previous filter; pass nullptr to clear. Installing a
-  /// filter marks the run serially coupled: filters may consult arbitrary
-  /// world state (wormhole peers, channel schedules), so the executive
-  /// falls back to the serial engine for such runs.
+  /// Replaces any previous filter; pass nullptr to clear.
   using DeliveryFilter = std::function<DeliveryVerdict(const Frame&, NodeId rx, Time now)>;
-  void set_delivery_filter(DeliveryFilter filter);
+  void set_delivery_filter(DeliveryFilter filter) { delivery_filter_ = std::move(filter); }
 
  private:
   /// One in-progress (or not yet retired) transmission, carrying the
@@ -101,6 +84,9 @@ class Medium {
   std::uint64_t frames_sent_{0};
   std::uint64_t collisions_{0};
   DeliveryFilter delivery_filter_;
+  /// Receiver candidates of the frame being transmitted; a member so the
+  /// per-frame hot path never allocates in steady state.
+  std::vector<NodeId> rx_scratch_;
 };
 
 }  // namespace icc::sim

@@ -23,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/exec_ctx.hpp"
 #include "sim/types.hpp"
 
 namespace icc::sim {
@@ -105,7 +104,6 @@ class Histogram {
 /// through it are a single vector index — no hashing, no allocation.
 using MetricId = std::uint32_t;
 
-// icc:affinity(world)
 class MetricsRegistry {
  public:
   // ----------------------------------------------------- interning (cold)
@@ -126,57 +124,15 @@ class MetricsRegistry {
   }
 
   // ------------------------------------------------------- updates (hot)
-  // Under the parallel executive, worker-thread updates are buffered in the
-  // component's effect log and replayed here serially — in deterministic
-  // merged order — at the window barrier. Serial callers (and the barrier
-  // replay itself) pay one thread-local load and a branch.
-  void add(MetricId id, double v = 1.0) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_metric_op(ExecMetricOp::kAdd, id, v);
-      return;
-    }
-    counters_[id].value += v;
-  }
-  void set(MetricId id, double v) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_metric_op(ExecMetricOp::kSet, id, v);
-      return;
-    }
-    gauges_[id].value = v;
-  }
-  void sample(MetricId id, double v) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_metric_op(ExecMetricOp::kSample, id, v);
-      return;
-    }
-    series_[id].value.add(v);
-  }
-  void observe(MetricId id, double v) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_metric_op(ExecMetricOp::kObserve, id, v);
-      return;
-    }
-    histograms_[id].value.observe(v);
-  }
+  void add(MetricId id, double v = 1.0) { counters_[id].value += v; }
+  void set(MetricId id, double v) { gauges_[id].value = v; }
+  void sample(MetricId id, double v) { series_[id].value.add(v); }
+  void observe(MetricId id, double v) { histograms_[id].value.observe(v); }
 
   /// String-keyed updates for call sites that intern at update time (the
-  /// Stats facade, the coverage ledger). Buffered as *named* ops under the
-  /// executive so first-use interning — which fixes report field order —
-  /// happens serially at the barrier, never on a worker thread.
-  void add_named(const std::string& name, double v = 1.0) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_named_op(ExecMetricOp::kAddNamed, name, v);
-      return;
-    }
-    add(counter_id(name), v);
-  }
-  void sample_named(const std::string& name, double v) {
-    if (exec_ctx() != nullptr) {
-      exec_buffer_named_op(ExecMetricOp::kSampleNamed, name, v);
-      return;
-    }
-    sample(series_id(name), v);
-  }
+  /// Stats facade, the coverage ledger).
+  void add_named(const std::string& name, double v = 1.0) { add(counter_id(name), v); }
+  void sample_named(const std::string& name, double v) { sample(series_id(name), v); }
 
   // ------------------------------------------------------- reads (cold)
   [[nodiscard]] double counter(MetricId id) const { return counters_[id].value; }

@@ -17,7 +17,6 @@ namespace icc::sim {
 class Scheduler;
 
 /// Interface queried by the radio medium whenever a position is needed.
-// icc:affinity(node)
 class Mobility {
  public:
   virtual ~Mobility() = default;
@@ -39,7 +38,6 @@ class Mobility {
 };
 
 /// A node that never moves (sensor study).
-// icc:affinity(node)
 class StaticMobility final : public Mobility {
  public:
   explicit StaticMobility(Vec2 pos) : pos_{pos} {}
@@ -51,7 +49,6 @@ class StaticMobility final : public Mobility {
 
 /// Random waypoint: pick a uniform destination in the area, travel at a
 /// uniform-random speed in [min_speed, max_speed], pause, repeat.
-// icc:affinity(node)
 class RandomWaypoint final : public Mobility {
  public:
   struct Params {

@@ -4,21 +4,10 @@
 
 namespace icc::sim {
 
-Time NodeClock::now() const noexcept { return world_.sched().now(); }
-
-net::TimerId NodeClock::schedule_at(Time t, std::function<void()> fn, net::EventTag tag) {
-  return world_.sched().schedule_at_owned(t, std::move(fn), tag, id_);
-}
-
-void NodeClock::cancel(net::TimerId id) { world_.sched().cancel(id); }
-
-bool NodeClock::pending(net::TimerId id) const { return world_.sched().pending(id); }
-
 Node::Node(World& world, NodeId id, std::unique_ptr<Mobility> mobility,
            MacParams mac_params)
     : world_{world},
       id_{id},
-      clock_{world, id},
       mobility_{std::move(mobility)},
       mac_{std::make_unique<Mac>(world, *this, mac_params)},
       outbound_dropped_id_{world.metrics().counter_id("node.outbound_dropped")},
@@ -38,7 +27,7 @@ void Node::set_lineage_parent(std::uint64_t span) noexcept {
   world_.set_lineage_parent(span);
 }
 std::size_t Node::num_nodes() const noexcept { return world_.num_nodes(); }
-net::Clock& Node::clock() noexcept { return clock_; }
+net::Clock& Node::clock() noexcept { return world_.sched(); }
 
 void Node::link_send(Packet packet, NodeId next_hop) {
   if (down_) return;

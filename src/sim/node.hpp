@@ -29,29 +29,6 @@ class World;
 /// the UDP deployment transport share it.
 using FilterVerdict = net::FilterVerdict;
 
-/// The Clock a node's protocol stack sees: forwards to the World scheduler
-/// with this node stamped as the event's explicit owner, so the partitioned
-/// scheduler files every protocol timer under the owning node's slab no
-/// matter which event (even another node's) scheduled it. In legacy mode it
-/// is a plain pass-through.
-// icc:affinity(node)
-class NodeClock final : public net::Clock {
- public:
-  NodeClock(World& world, NodeId id) : world_{world}, id_{id} {}
-
-  [[nodiscard]] Time now() const noexcept override;
-  net::TimerId schedule_at(Time t, std::function<void()> fn,
-                           net::EventTag tag = net::EventTag::kGeneric) override;
-  void cancel(net::TimerId id) override;
-  [[nodiscard]] bool pending(net::TimerId id) const override;
-
- private:
-  // icc:sync: reaches the World only for the owner-tagged scheduler facade; under the executive those schedules land in the owner's slab, which the conflict-radius argument confines to one worker per window (DESIGN.md §16)
-  World& world_;
-  NodeId id_;
-};
-
-// icc:affinity(node)
 class Node final : public net::Host, public net::Transport {
  public:
   /// Handler for packets delivered to a port: (packet, link-level sender).
@@ -137,10 +114,8 @@ class Node final : public net::Host, public net::Transport {
   /// packet's parent (idempotent; see Packet::parent).
   void stamp_lineage(Packet& packet);
 
-  // icc:sync: reached only for net::Host services (clock, medium, trace, rng); under the parallel-DES cell executive every world-global write behind it is buffered or gated (exec_ctx.hpp)
   World& world_;
   NodeId id_;
-  NodeClock clock_;
   std::unique_ptr<Mobility> mobility_;
   EnergyMeter energy_;
   std::unique_ptr<Mac> mac_;

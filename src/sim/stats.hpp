@@ -17,8 +17,7 @@ namespace icc::sim {
 class Stats {
  public:
   // add/sample route through the registry's named entry points, which
-  // intern-then-update serially and buffer under the parallel executive
-  // (interning on a worker thread would race and perturb report field order).
+  // intern on first use and then update.
   void add(const std::string& key, double v = 1.0) { registry_.add_named(key, v); }
   [[nodiscard]] double get(const std::string& key) const {
     return registry_.counter_value(key);

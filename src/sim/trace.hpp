@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/exec_ctx.hpp"
 #include "sim/types.hpp"
 
 namespace icc::sim {
@@ -170,7 +169,6 @@ class CollectingTraceSink final : public TraceSink {
 
 class FlightRecorder;
 
-// icc:affinity(world)
 class Tracer {
  public:
   Tracer();
@@ -212,21 +210,7 @@ class Tracer {
   /// Emit if the event's category is enabled. Callers on per-packet paths
   /// should still guard with enabled() when assembling the event costs
   /// anything beyond writing POD fields.
-  ///
-  /// Under the parallel executive, worker-thread emissions that would reach
-  /// the flight ring or a sink are buffered in the component's effect log
-  /// and replayed through this same method — serially, in deterministic
-  /// merged time order — at the window barrier.
   void emit(const TraceEvent& event) {
-    const bool wanted =
-        flight_ != nullptr ||
-        ((mask_ & (1u << static_cast<unsigned>(trace_category(event.type)))) != 0 &&
-         !sinks_.empty());
-    if (!wanted) return;
-    if (exec_ctx() != nullptr) {
-      exec_buffer_trace(event);
-      return;
-    }
     if (flight_ != nullptr) flight_record(event);
     if ((mask_ & (1u << static_cast<unsigned>(trace_category(event.type)))) != 0 &&
         !sinks_.empty()) {

@@ -1,10 +1,8 @@
 #include "sim/world.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "exp/env.hpp"
-#include "sim/exec.hpp"
 
 namespace icc::sim {
 
@@ -27,28 +25,6 @@ World::World(WorldConfig config)
             std::max(config.tx_range, config.tx_range * config.cs_range_factor),
             kGridSlackFraction *
                 std::max(config.tx_range, config.tx_range * config.cs_range_factor)} {
-  // Resolve the within-run thread count first: enabling the partitioned
-  // scheduler is only legal before anything is scheduled, and the health
-  // sampler below schedules.
-  int threads = config_.sim_threads;
-  if (threads < 0) threads = exp::env_int("ICC_SIM_THREADS", 0);
-  if (threads < 0) threads = 0;
-  if (threads > 0 && !config_.spatial_grid) {
-    // The brute-force neighbor scan reads every node's live position, which
-    // the conflict-radius argument cannot cover.
-    std::fprintf(stderr, "icc: warning: ICC_SIM_THREADS requires spatial_grid; "
-                         "running the legacy serial engine\n");
-    threads = 0;
-  }
-  if (threads > 0 && !(config_.mac.preamble > 0.0)) {
-    // The executive's lookahead is the guaranteed minimum frame airtime —
-    // the preamble. Without one there is no conservative window.
-    std::fprintf(stderr, "icc: warning: ICC_SIM_THREADS requires a positive MAC "
-                         "preamble (lookahead); running the legacy serial engine\n");
-    threads = 0;
-  }
-  exec_threads_ = threads;
-  if (exec_threads_ > 0) sched_.enable_partitioned();
   tracer_.configure_from_env();
   if (exp::env_int("ICC_PROFILE", 0) != 0) sched_.enable_profiling(true);
   health_interval_ = exp::env_double("ICC_TRACE_HEALTH", 0.0);
@@ -83,45 +59,15 @@ void World::health_sample() {
   sched_.schedule_in(health_interval_, [this] { health_sample(); });
 }
 
-World::~World() = default;
-
-void World::run_until(Time end) {
-  if (exec_threads_ > 0) {
-    if (!exec_) exec_ = std::make_unique<Executive>(*this, exec_threads_);
-    exec_->run_until(end);
-    return;
-  }
-  sched_.run_until(end);
-}
-
-std::uint64_t World::next_packet_uid() noexcept {
-  if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
-    return ctx->exec->gated_next_uid(*ctx);
-  }
-  return next_uid_++;
-}
-
-std::uint64_t World::next_span() noexcept { return next_packet_uid(); }
-
 Node& World::add_node(std::unique_ptr<Mobility> mobility) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  sched_.register_owner(id);
   nodes_.push_back(std::make_unique<Node>(*this, id, std::move(mobility), config_.mac));
-  {
-    // Mobility events belong to the node they move.
-    ScopedEventOwner owner{sched_, id};
-    nodes_.back()->mobility().start(sched_);
-  }
+  nodes_.back()->mobility().start(sched_);
   bump_position_epoch();  // the spatial index must pick the node up
   return *nodes_.back();
 }
 
 void World::nodes_within(Vec2 center, double radius, std::vector<NodeId>& out) const {
-  // Worker-thread queries must stay inside the conflict radius (which is
-  // sized for tx/cs-range interactions); wider oracle queries (wormhole
-  // tunnels, test sweeps) are serial-only by construction.
-  ICC_ASSERT(exec_ctx() == nullptr || radius <= config_.tx_range,
-             "executive worker queries are bounded by tx_range");
   if (config_.spatial_grid) {
     grid_.query(center, radius, now(), out);
     return;

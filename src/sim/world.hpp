@@ -37,24 +37,12 @@ struct WorldConfig {
   /// equivalence tests can use the scan as an oracle. Carrier sense always
   /// reads the medium's position-sharded air table.
   bool spatial_grid{true};
-  /// Within-run worker threads for the conservative parallel-DES cell
-  /// executive (sim/exec.hpp). -1 (default) reads ICC_SIM_THREADS; 0 (or an
-  /// unset/empty variable) keeps the serial engine. Any value >= 1
-  /// selects the executive — including 1, so a one-thread executive run is
-  /// byte-identical to an 8-thread one by construction, not by luck. Same
-  /// seed => byte-identical traces, reports, and ledger at any thread
-  /// count. Distinct from ICC_THREADS, which parallelizes the exp Runner
-  /// *across* runs.
-  int sim_threads{-1};
+  int sim_threads{0};  ///< unread; exists for perfbench, goes with the next benchmark change
 };
 
-class Executive;
-
-// icc:affinity(world)
 class World final : public net::Services {
  public:
   explicit World(WorldConfig config);
-  ~World() override;  // out of line: Executive is incomplete here
 
   // Non-copyable, non-movable: nodes hold references into the world.
   World(const World&) = delete;
@@ -80,57 +68,34 @@ class World final : public net::Services {
   [[nodiscard]] const WorldConfig& config() const noexcept { return config_; }
 
   [[nodiscard]] Time now() const noexcept override { return sched_.now(); }
-  /// Run the simulation to `end`. Routed through the parallel executive when
-  /// sim_threads selected it (and the run is not serially coupled), through
-  /// the scheduler's serial loop otherwise — byte-identical results either
-  /// way.
-  void run_until(Time end);
+  /// Run the simulation to `end`.
+  void run_until(Time end) { sched_.run_until(end); }
 
-  /// Worker threads the executive will use; 0 = serial engine.
-  [[nodiscard]] int exec_threads() const noexcept { return exec_threads_; }
+  /// Echoes config().sim_threads; exists for perfbench, goes with the next benchmark change.
+  [[nodiscard]] int exec_threads() const noexcept { return config_.sim_threads; }
 
   /// Independent RNG stream; `salt` should identify the consumer.
-  /// Setup-time only under the executive: a mid-window fork would need its
-  /// own ordering gate, and no call site wants one (iccheck shared-state
-  /// census keeps it that way).
-  [[nodiscard]] Rng fork_rng(std::uint64_t salt) override {
-    ICC_ASSERT(exec_ctx() == nullptr,
-               "fork_rng is setup-time only: RNG streams must not be forked from "
-               "executive worker threads");
-    return rng_.fork(salt);
-  }
+  [[nodiscard]] Rng fork_rng(std::uint64_t salt) override { return rng_.fork(salt); }
   Rng& rng() noexcept { return rng_; }
 
-  std::uint64_t next_packet_uid() noexcept override;
+  std::uint64_t next_packet_uid() noexcept override { return next_uid_++; }
 
   /// Lineage span ids share the packet-uid namespace (a packet's span IS its
   /// uid), so non-packet causes — watchdog accusations, voting rounds, fault
   /// injections — get ids that never collide with packet uids. Spans are
   /// burned unconditionally (never gated on tracing being enabled) so the id
-  /// stream is identical whether or not anyone is watching. Under the
-  /// executive, draws from worker threads pass through an ordering gate that
-  /// admits them in global event-key order, keeping the stream identical at
-  /// any thread count.
-  std::uint64_t next_span() noexcept override;
+  /// stream is identical whether or not anyone is watching.
+  std::uint64_t next_span() noexcept override { return next_packet_uid(); }
 
   /// The span of the event being causally processed right now — the uid of
   /// the packet whose reception is being handled (set by Node::
   /// frame_received), or a cause explicitly scoped by protocol code
   /// (LineageScope). Packets originated inside the scope inherit it as
   /// their parent automatically. 0 = no known cause (timer-driven work).
-  /// Worker threads keep the context in their ExecContext (it is reset per
-  /// event and every scope is balanced, so it never leaks across events).
   [[nodiscard]] std::uint64_t lineage_parent() const noexcept override {
-    const ExecContext* ctx = exec_ctx();
-    return ctx != nullptr ? ctx->lineage_parent : lineage_parent_;
+    return lineage_parent_;
   }
-  void set_lineage_parent(std::uint64_t span) noexcept override {
-    if (ExecContext* ctx = exec_ctx(); ctx != nullptr) {
-      ctx->lineage_parent = span;
-      return;
-    }
-    lineage_parent_ = span;
-  }
+  void set_lineage_parent(std::uint64_t span) noexcept override { lineage_parent_ = span; }
 
   /// Optional hook applied to every packet as it enters the link layer
   /// (Node::link_send_unfiltered, after lineage stamping, before the MAC).
@@ -173,23 +138,7 @@ class World final : public net::Services {
   /// Average per-node energy, in joules, consumed so far.
   [[nodiscard]] double mean_energy_joules() const;
 
-  /// Mark this run serially coupled: some installed hook (delivery filter,
-  /// wormhole tunnel) couples distant nodes tighter than the radio's
-  /// propagation bound, so the conservative window argument no longer
-  /// holds. The executive then drives the run through the serial engine —
-  /// still byte-identical at every thread count, just not parallel. Sticky
-  /// for the lifetime of the world.
-  void set_serial_coupled() noexcept { serial_coupled_ = true; }
-  [[nodiscard]] bool serial_coupled() const noexcept { return serial_coupled_; }
-
-  /// Executive barrier hook: bring the spatial index's bin guarantees up to
-  /// the window end, so queries inside the window are pure reads.
-  void prepare_spatial(Time window_end) {
-    if (config_.spatial_grid) grid_.refresh_until(window_end);
-  }
-
  private:
-  friend class Executive;  // window loop reads sched_/nodes_, merges effects
   /// Periodic health sampler (ICC_TRACE_HEALTH): emits queue depth, executed
   /// events, air-table occupancy and energy as health-category trace events.
   /// Self-rescheduling, so it is armed only when the env knob asks for it.
@@ -208,9 +157,6 @@ class World final : public net::Services {
   Time health_interval_{0.0};
   bool health_per_node_{false};
   std::uint64_t health_last_executed_{0};
-  int exec_threads_{0};
-  bool serial_coupled_{false};
-  std::unique_ptr<Executive> exec_;  ///< created at first run_until when enabled
   /// Lazily maintained cache over node positions; mutable because refreshing
   /// it is logically const (queries through it are pure reads of the world).
   mutable SpatialGrid grid_;

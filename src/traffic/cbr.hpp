@@ -11,7 +11,6 @@ namespace icc::traffic {
 /// One unidirectional CBR flow. Counts sent packets; the sink side counts
 /// deliveries and samples end-to-end latency into the world stats
 /// ("cbr.sent", "cbr.received", "cbr.latency").
-// icc:affinity(node)
 class CbrConnection {
  public:
   struct Params {

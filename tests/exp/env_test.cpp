@@ -104,27 +104,16 @@ TEST_F(EnvTest, MalformedIntListAborts) {
 }
 
 // The simulator reads its knobs through the same helpers, so a typo aborts
-// World construction instead of silently choosing an engine, a sampling
-// interval or a ring size.
+// World construction instead of silently choosing a sampling interval or a
+// ring size.
 class SimKnobTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    for (const char* name :
-         {"ICC_SIM_THREADS", "ICC_TRACE_HEALTH", "ICC_FLIGHT", "ICC_FLIGHT_RECORDS"}) {
+    for (const char* name : {"ICC_TRACE_HEALTH", "ICC_FLIGHT", "ICC_FLIGHT_RECORDS"}) {
       ::unsetenv(name);
     }
   }
 };
-
-TEST_F(SimKnobTest, SimThreadsTrailingGarbageAborts) {
-  ::setenv("ICC_SIM_THREADS", "4x", 1);
-  EXPECT_DEATH(sim::World{sim::WorldConfig{}}, "ICC_SIM_THREADS='4x' is not a valid integer");
-}
-
-TEST_F(SimKnobTest, SimThreadsNonNumberAborts) {
-  ::setenv("ICC_SIM_THREADS", "abc", 1);
-  EXPECT_DEATH(sim::World{sim::WorldConfig{}}, "ICC_SIM_THREADS='abc' is not a valid integer");
-}
 
 TEST_F(SimKnobTest, TraceHealthNonNumberAborts) {
   ::setenv("ICC_TRACE_HEALTH", "abc", 1);

@@ -102,54 +102,5 @@ TEST(Scheduler, ExecutedCountsOnlyRunEvents) {
   EXPECT_EQ(sched.executed(), 1u);
 }
 
-// Partitioned EventIds pack gen(32) | slab(17) | slot(15). Each field
-// admits its last value; one past it would alias another owner's events, so
-// it aborts in every build.
-TEST(Scheduler, PartitionedIdFieldsAdmitTheirLastValue) {
-  Scheduler sched;
-  sched.enable_partitioned();
-  std::uint32_t fired = 0;
-  Scheduler::EventId last = Scheduler::kNoEvent;
-  for (std::uint32_t i = 0; i <= Scheduler::kSlotMask; ++i) {
-    last = sched.schedule_at(1.0, [&fired] { ++fired; });
-  }
-  const NodeId top_owner = Scheduler::kMaxSlabs - 2;  // slab kMaxSlabs - 1
-  const auto top = sched.schedule_at_owned(1.0, [&fired] { ++fired; }, EventTag::kGeneric,
-                                           top_owner);
-  EXPECT_TRUE(sched.pending(last));
-  EXPECT_TRUE(sched.pending(top));
-  sched.run_all();
-  EXPECT_EQ(fired, Scheduler::kSlotMask + 2);
-}
-
-TEST(SchedulerDeathTest, PartitionedSlotOverflowAborts) {
-  EXPECT_DEATH(
-      {
-        Scheduler sched;
-        sched.enable_partitioned();
-        for (std::uint32_t i = 0; i <= Scheduler::kSlotMask + 1; ++i) {
-          sched.schedule_at(1.0, [] {});
-        }
-      },
-      "slot slab overflow");
-}
-
-TEST(SchedulerDeathTest, PartitionedOwnerOverflowAborts) {
-  EXPECT_DEATH(
-      {
-        Scheduler sched;
-        sched.enable_partitioned();
-        sched.schedule_at_owned(1.0, [] {}, EventTag::kGeneric, Scheduler::kMaxSlabs - 1);
-      },
-      "slab field overflow");
-  EXPECT_DEATH(
-      {
-        Scheduler sched;
-        sched.enable_partitioned();
-        sched.register_owner(Scheduler::kMaxSlabs - 1);
-      },
-      "slab field overflow");
-}
-
 }  // namespace
 }  // namespace icc::sim
