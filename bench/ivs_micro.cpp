@@ -90,7 +90,7 @@ RoundCost measure(int circle_size, int level, core::VotingMode mode,
   // a window with no voting.
   const std::uint64_t frames_during = world.medium().frames_sent() - frames_before;
   const double window = 0.5 * rounds + 2.0;
-  const double beacon_rate = world.stats().get("sts.beacons_sent") / world.now();
+  const double beacon_rate = world.metrics().counter_value("sts.beacons_sent") / world.now();
   const double beacon_frames = beacon_rate * window;
 
   RoundCost out;

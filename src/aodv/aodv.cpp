@@ -135,7 +135,7 @@ void Aodv::forward_data(const sim::Packet& packet, const DataMsg&) {
     PendingDiscovery& pending = pending_[dest];
     if (pending.buffered.size() >= params_.buffer_capacity) {
       pending.buffered.pop_front();
-      node_.stats().add("aodv.buffer_overflow");
+      node_.metrics().add_named("aodv.buffer_overflow");
     }
     pending.buffered.push_back(packet);
     if (pending.attempts == 0) {
@@ -263,7 +263,7 @@ void Aodv::drop_buffered(sim::NodeId dest) {
   const auto it = pending_.find(dest);
   if (it == pending_.end()) return;
   node_.clock().cancel(it->second.retry_event);
-  node_.stats().add("aodv.discovery_failed");
+  node_.metrics().add_named("aodv.discovery_failed");
   node_.metrics().add(m_data_dropped_no_route_,
                               static_cast<double>(it->second.buffered.size()));
   node_.tracer().emit({now(), sim::TraceType::kRouteDiscoveryFailed, node_.id(), dest,
@@ -328,7 +328,7 @@ void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
       rrep.dest_seq = it->second.dest_seq;
       rrep.orig = rreq.orig;
       rrep.hop_count = it->second.hop_count;
-      node_.stats().add("aodv.intermediate_rrep");
+      node_.metrics().add_named("aodv.intermediate_rrep");
       send_rrep_towards(rrep);
       return;
     }
@@ -352,7 +352,7 @@ void Aodv::send_rrep_towards(const RrepMsg& rrep) {
   // Unicast along the reverse route to the requester.
   const auto it = routes_.find(rrep.orig);
   if (it == routes_.end() || !it->second.valid) {
-    node_.stats().add("aodv.rrep_no_reverse_route");
+    node_.metrics().add_named("aodv.rrep_no_reverse_route");
     return;
   }
   sim::Packet packet;
@@ -412,7 +412,7 @@ void Aodv::on_link_failure(const sim::Packet& packet, sim::NodeId next_hop) {
   // Only react to data-plane failures; control messages have their own
   // retry/timeout logic.
   if (packet.body_as<DataMsg>() == nullptr) return;
-  node_.stats().add("aodv.link_failures");
+  node_.metrics().add_named("aodv.link_failures");
   // MAC retry exhaustion arrives via timer, outside any reception scope: the
   // RERR flood and salvage rediscovery below descend from the failed packet.
   net::LineageScope lineage{node_, packet.uid};

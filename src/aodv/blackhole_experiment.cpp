@@ -142,29 +142,30 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
   world.run_until(config.sim_time);
 
   BlackholeExperimentResult result;
-  result.packets_sent = static_cast<std::uint64_t>(world.stats().get("cbr.sent"));
-  result.packets_received = static_cast<std::uint64_t>(world.stats().get("cbr.received"));
+  const sim::MetricsRegistry& metrics = world.metrics();
+  result.packets_sent = static_cast<std::uint64_t>(metrics.counter_value("cbr.sent"));
+  result.packets_received = static_cast<std::uint64_t>(metrics.counter_value("cbr.received"));
   result.throughput = result.packets_sent
                           ? static_cast<double>(result.packets_received) /
                                 static_cast<double>(result.packets_sent)
                           : 0.0;
   result.mean_energy_j = world.mean_energy_joules();
-  result.mean_latency_s = world.stats().samples("cbr.latency").mean();
+  result.mean_latency_s = metrics.series_by_name("cbr.latency").mean();
   result.blackhole_dropped =
-      static_cast<std::uint64_t>(world.stats().get("blackhole.data_dropped"));
+      static_cast<std::uint64_t>(metrics.counter_value("blackhole.data_dropped"));
   result.raw_rreps_suppressed =
-      static_cast<std::uint64_t>(world.stats().get("icc.suppressed_raw"));
-  result.voting_rounds = static_cast<std::uint64_t>(world.stats().get("ivs.rounds_started"));
+      static_cast<std::uint64_t>(metrics.counter_value("icc.suppressed_raw"));
+  result.voting_rounds = static_cast<std::uint64_t>(metrics.counter_value("ivs.rounds_started"));
   result.watchdog_blacklisted =
-      static_cast<std::uint64_t>(world.stats().get("watchdog.blacklisted"));
+      static_cast<std::uint64_t>(metrics.counter_value("watchdog.blacklisted"));
   result.mac_collisions = world.medium().collisions();
-  result.control_packets = static_cast<std::uint64_t>(world.stats().get("aodv.rreq_sent") +
-                                                      world.stats().get("aodv.rrep_sent"));
+  result.control_packets = static_cast<std::uint64_t>(metrics.counter_value("aodv.rreq_sent") +
+                                                      metrics.counter_value("aodv.rrep_sent"));
   for (std::size_t k = 0; k < fault::kNumAttackKinds; ++k) {
     const auto kind = static_cast<fault::AttackKind>(k);
     if (!fault::attack_kind_booked(kind)) continue;
     result.attack_kind_injected[k] = static_cast<std::uint64_t>(
-        world.stats().get(std::string("fault.kind.") + fault::attack_kind_name(kind)));
+        metrics.counter_value(std::string("fault.kind.") + fault::attack_kind_name(kind)));
   }
   result.events_executed = world.sched().executed();
   result.frames_sent = world.medium().frames_sent();
@@ -178,14 +179,9 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
   }
   result.node_energy_j.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const double e = world.node(static_cast<sim::NodeId>(i))
-                         .energy()
-                         .total_joules(world.config().energy, world.now());
-    result.node_energy_j.push_back(e);
-    // Also published as per-node gauges so a RunReport built from the
-    // world's registry carries the full energy map.
-    world.metrics().set(world.metrics().node_gauge_id("energy_j", static_cast<sim::NodeId>(i)),
-                        e);
+    result.node_energy_j.push_back(world.node(static_cast<sim::NodeId>(i))
+                                       .energy()
+                                       .total_joules(world.config().energy, world.now()));
   }
   result.profile = world.sched().profile();
   return result;

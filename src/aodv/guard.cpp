@@ -60,7 +60,7 @@ bool AodvGuard::check(sim::NodeId center, const core::Value& value) {
   const auto decoded = RrepMsg::wire_decode(value);
   if (sec_.verify && decoded && !sec_plausible(decoded->first, decoded->second)) {
     net::Host& host = aodv_.node();
-    host.stats().add("guard.sec_rejected");
+    host.metrics().add_named("guard.sec_rejected");
     fault::report_detected(host, fault::FaultClass::kProtocol, center, 0,
                            host.lineage_parent());
     if (sec_.suspect_on_reject) {

@@ -105,7 +105,7 @@ void MisbehaviorAodv::forward_data(const sim::Packet& packet, const DataMsg& dat
       // The retransmission is genuine — promiscuous watchers hear it and
       // clear any pending charge — but the colluder is a plain dropper, so
       // the packet dies one hop later with nobody watching that hop.
-      node_.stats().add("misbehavior.data_diverted");
+      node_.metrics().add_named("misbehavior.data_diverted");
       book_kind();
       fault::report_injected(node_, fault::FaultClass::kProtocol, node_.id());
       send_data_packet(packet, spec_.partner);
@@ -115,7 +115,7 @@ void MisbehaviorAodv::forward_data(const sim::Packet& packet, const DataMsg& dat
       // Fabricated next hop: retransmit for real (watchdog-clean) but
       // address the frame to a node that does not exist. No ack ever comes;
       // the MAC exhausts its retries and the packet is gone.
-      node_.stats().add("misbehavior.data_misrouted");
+      node_.metrics().add_named("misbehavior.data_misrouted");
       book_kind();
       fault::report_injected(node_, fault::FaultClass::kProtocol, node_.id());
       send_data_packet(packet, static_cast<sim::NodeId>(node_.num_nodes()));
@@ -128,7 +128,7 @@ void MisbehaviorAodv::forward_data(const sim::Packet& packet, const DataMsg& dat
       return;
     }
     if (spec_.delay_s > 0.0) {
-      node_.stats().add("misbehavior.data_delayed");
+      node_.metrics().add_named("misbehavior.data_delayed");
       fault::report_injected(node_, fault::FaultClass::kProtocol, node_.id());
       node_.clock().schedule_in(
           spec_.delay_s, [this, packet, data] { Aodv::forward_data(packet, data); },
@@ -153,7 +153,7 @@ void MisbehaviorAodv::replay_tick() {
     packet.port = sim::Port::kAodv;
     packet.size_bytes = RrepMsg::kWireSize;
     packet.body = std::make_shared<RrepMsg>(rrep);
-    node_.stats().add("misbehavior.rrep_replayed");
+    node_.metrics().add_named("misbehavior.rrep_replayed");
     book_kind();
     fault::report_injected(node_, fault::FaultClass::kProtocol, node_.id());
     // Replays go raw like every malicious RREP: a guarded receiver's
@@ -175,7 +175,7 @@ void MisbehaviorAodv::flood_tick() {
     rreq.dest = static_cast<sim::NodeId>(attack_rng_.uniform_int(
         0, static_cast<std::uint32_t>(node_.num_nodes() - 1)));
     rreq.hop_count = 0;
-    node_.stats().add("misbehavior.rreq_flooded");
+    node_.metrics().add_named("misbehavior.rreq_flooded");
     fault::report_injected(node_, fault::FaultClass::kProtocol, node_.id());
     broadcast_rreq(rreq);
   }

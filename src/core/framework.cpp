@@ -58,7 +58,7 @@ net::FilterVerdict InnerCircleNode::filter_outbound(const sim::Packet& packet,
     if (rule.match(packet, next_hop)) {
       // Redirect to the voting service (Fig 1: matching outgoing messages
       // are handed to the inner-circle services instead of the link layer).
-      node_.stats().add("icc.outgoing_intercepted");
+      node_.metrics().add_named("icc.outgoing_intercepted");
       // The voting round descends from the intercepted packet (its uid is
       // already stamped: link_send stamps before the filter chain runs).
       ivs_.initiate(config_.mode, config_.level, rule.extract(packet, next_hop),
@@ -75,7 +75,7 @@ net::FilterVerdict InnerCircleNode::filter_inbound(const sim::Packet& packet,
   // Convicted nodes are cut off entirely; temporarily suspected nodes only
   // lose access to the inner-circle services and guarded templates.
   if (suspicions_.convicted(from)) {
-    node_.stats().add("icc.suppressed_convicted");
+    node_.metrics().add_named("icc.suppressed_convicted");
     node_.tracer().emit({now, sim::TraceType::kPacketDrop, node_.id(), from,
                                  packet.uid, packet.size_bytes, 0.0, "suppressed_convicted",
                                  packet.uid, packet.parent});
@@ -85,7 +85,7 @@ net::FilterVerdict InnerCircleNode::filter_inbound(const sim::Packet& packet,
   }
   const bool suspected = suspicions_.suspected(from, now);
   if (suspected && packet.port == sim::Port::kIvs) {
-    node_.stats().add("icc.suppressed_suspected");
+    node_.metrics().add_named("icc.suppressed_suspected");
     node_.tracer().emit({now, sim::TraceType::kPacketDrop, node_.id(), from,
                                  packet.uid, packet.size_bytes, 0.0, "suppressed_suspected",
                                  packet.uid, packet.parent});
@@ -95,7 +95,7 @@ net::FilterVerdict InnerCircleNode::filter_inbound(const sim::Packet& packet,
     if (match(packet)) {
       // Guarded template: the raw protocol message must never be accepted
       // off the air — only its agreed, signature-checked form is.
-      node_.stats().add("icc.suppressed_raw");
+      node_.metrics().add_named("icc.suppressed_raw");
       node_.tracer().emit({now, sim::TraceType::kPacketDrop, node_.id(), from,
                                    packet.uid, packet.size_bytes, 0.0, "suppressed_raw",
                                    packet.uid, packet.parent});

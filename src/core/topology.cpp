@@ -120,7 +120,7 @@ void SecureTopologyService::send_beacon() {
   packet.size_bytes = static_cast<std::uint32_t>(24 + 36 * beacon->neighbors.size());
   packet.body = beacon;
   node_.transport().send_unfiltered(std::move(packet), sim::kBroadcast);
-  node_.stats().add("sts.beacons_sent");
+  node_.metrics().add_named("sts.beacons_sent");
 
   const double jitter = rng_.uniform(0.9, 1.1);
   node_.clock().schedule_in(params_.period * jitter, [this] { send_beacon(); },
@@ -165,7 +165,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
     // only on our side (lost message 3), or the beacon is forged. Keep the
     // link but do not refresh it from this beacon; once the link has gone
     // stale, restart authentication from scratch.
-    node_.stats().add("sts.beacons_unverified");
+    node_.metrics().add_named("sts.beacons_unverified");
     if (now() - peer.last_heard > params_.delta_sts) {
       peer.authenticated = false;
       peer.handshake.reset();
@@ -178,7 +178,7 @@ void SecureTopologyService::handle_beacon(const StsBeacon& beacon, sim::NodeId /
   peer.pos_known = true;
   peer.claimed_neighbors = beacon.neighbors;
   peer.claim_time = now();
-  node_.stats().add("sts.beacons_accepted");
+  node_.metrics().add_named("sts.beacons_accepted");
 }
 
 void SecureTopologyService::maybe_begin_handshake(sim::NodeId peer_id) {
@@ -205,7 +205,7 @@ void SecureTopologyService::send_nsl(sim::NodeId to, int phase, crypto::Cipherte
   packet.size_bytes = static_cast<std::uint32_t>(12 + msg->ct.data.size() + 36);
   packet.body = std::move(msg);
   node_.transport().send_unfiltered(std::move(packet), to);
-  node_.stats().add("sts.nsl_sent");
+  node_.metrics().add_named("sts.nsl_sent");
 }
 
 void SecureTopologyService::complete_handshake(PeerState& peer, crypto::SessionKey key,
@@ -217,7 +217,7 @@ void SecureTopologyService::complete_handshake(PeerState& peer, crypto::SessionK
   peer.tag_key = crypto::HmacKey{key};
   peer.last_heard = t;  // the handshake itself is authenticated contact
   peer.handshake.reset();
-  node_.stats().add("sts.handshakes_completed");
+  node_.metrics().add_named("sts.handshakes_completed");
 }
 
 void SecureTopologyService::handle_nsl(const NslMsg& msg, sim::NodeId from) {

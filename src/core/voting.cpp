@@ -83,7 +83,7 @@ std::uint64_t IvsService::initiate(VotingMode mode, int level, Value value,
   round.level = level;
   round.center_value = std::move(value);
   round.span = node_.next_span();
-  node_.stats().add("ivs.rounds_started");
+  node_.metrics().add_named("ivs.rounds_started");
   node_.tracer().emit({now(), sim::TraceType::kVoteRoundStart, node_.id(), sim::kNoNode,
                                round_id, 0, static_cast<double>(level),
                                mode == VotingMode::kDeterministic ? "deterministic"
@@ -180,7 +180,7 @@ void IvsService::abort_round(std::uint64_t round_id) {
   const Value value = std::move(it->second.center_value);
   const std::uint64_t round_span = it->second.span;
   rounds_.erase(it);
-  node_.stats().add("ivs.rounds_aborted");
+  node_.metrics().add_named("ivs.rounds_aborted");
   node_.tracer().emit({now(), sim::TraceType::kVoteVerdict, node_.id(), sim::kNoNode,
                                round_id, 0, 0.0, "aborted", round_span, 0});
   if (callbacks_.on_abort) callbacks_.on_abort(round_id, value);
@@ -303,7 +303,7 @@ void IvsService::complete_round(std::uint64_t round_id, Round& round) {
   const int level = round.level;
   const std::uint64_t round_span = round.span;
   rounds_.erase(round_id);
-  node_.stats().add("ivs.rounds_completed");
+  node_.metrics().add_named("ivs.rounds_completed");
   node_.tracer().emit({now(), sim::TraceType::kVoteVerdict, node_.id(), sim::kNoNode,
                                round_id, 0, static_cast<double>(level), "completed",
                                round_span, 0});
@@ -397,7 +397,7 @@ void IvsService::handle_propose(const ProposeMsg& msg, sim::NodeId from) {
     // misbehavior — the dependability level L is what stops an invalid
     // value from gathering enough approvals.
     if (callbacks_.check && !callbacks_.check(msg.center, msg.value)) {
-      node_.stats().add("ivs.check_rejected");
+      node_.metrics().add_named("ivs.check_rejected");
       return;
     }
   } else {
@@ -427,11 +427,11 @@ void IvsService::handle_propose(const ProposeMsg& msg, sim::NodeId from) {
       suspicions_.convict(msg.center, "statistical fusion mismatch");
       trace_suspicion(node_, node_.id(), msg.center, sim::TraceType::kConvict,
                       "fusion_mismatch");
-      node_.stats().add("ivs.fusion_rejected");
+      node_.metrics().add_named("ivs.fusion_rejected");
       return;
     }
     if (callbacks_.check && !callbacks_.check(msg.center, msg.value)) {
-      node_.stats().add("ivs.check_rejected");
+      node_.metrics().add_named("ivs.check_rejected");
       return;
     }
   }
@@ -451,7 +451,7 @@ void IvsService::send_ack(sim::NodeId center, sim::NodeId next_hop, std::uint64_
   node_.clock().schedule_in(params_.cost.sign_delay, [this, next_hop, ack, size] {
     unicast(next_hop, ack, size);
   }, net::EventTag::kVoting);
-  node_.stats().add("ivs.acks_sent");
+  node_.metrics().add_named("ivs.acks_sent");
 }
 
 void IvsService::handle_agreed(const AgreedMsg& msg, sim::NodeId from) {
@@ -469,10 +469,10 @@ void IvsService::handle_agreed(const AgreedMsg& msg, sim::NodeId from) {
     suspicions_.suspect_temporarily(from, now(), "invalid agreed signature");
     trace_suspicion(node_, node_.id(), from, sim::TraceType::kSuspect,
                     "invalid_agreed_signature");
-    node_.stats().add("ivs.agreed_rejected");
+    node_.metrics().add_named("ivs.agreed_rejected");
     return;
   }
-  node_.stats().add("ivs.agreed_delivered");
+  node_.metrics().add_named("ivs.agreed_delivered");
   if (callbacks_.on_agreed) callbacks_.on_agreed(msg, /*is_center=*/false);
 }
 

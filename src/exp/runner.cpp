@@ -132,6 +132,9 @@ class ProgressSink {
 CampaignResult run_campaign(const Campaign& campaign, const RunnerOptions& options) {
   if (!campaign.job) throw std::invalid_argument("run_campaign: campaign.job is empty");
   if (campaign.runs < 1) throw std::invalid_argument("run_campaign: runs must be >= 1");
+  if (campaign.grid.num_cells() == 0) {
+    throw std::invalid_argument("run_campaign: the grid has no cell (add an axis)");
+  }
 
   const std::size_t total = campaign.num_jobs();
   std::vector<JobOutputs> outputs(total);

@@ -46,8 +46,9 @@ struct RunnerOptions {
 };
 
 /// Execute every job of `campaign` (minus journal-resumed ones) and return
-/// the deterministic aggregation. Throws std::runtime_error if a job throws
-/// (the first error is reported; remaining jobs are abandoned).
+/// the deterministic aggregation. Throws std::invalid_argument for an empty
+/// job, runs < 1 or a grid with no cell, and std::runtime_error if a job
+/// throws (the first error is reported; remaining jobs are abandoned).
 CampaignResult run_campaign(const Campaign& campaign, const RunnerOptions& options = {});
 
 }  // namespace icc::exp

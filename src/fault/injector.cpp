@@ -244,7 +244,7 @@ void InjectionEngine::replay_at(const sim::Frame& frame, sim::NodeId near_end,
       // transmitter too far away to be physically audible, so the receiver
       // rejects it. Booked as one detection per tunneled frame, matching
       // the one injection the capture booked.
-      world_.stats().add("fault.wormhole.leash_rejected");
+      world_.metrics().add_named("fault.wormhole.leash_rejected");
       if (!leash_booked) {
         leash_booked = true;
         report_detected(world_, FaultClass::kProtocol, near_end, 0, inj_span);

@@ -16,8 +16,8 @@
 #include "net/clock.hpp"
 #include "net/transport.hpp"
 #include "sim/energy.hpp"
+#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/vec2.hpp"
 
@@ -26,9 +26,10 @@ namespace icc::net {
 using sim::EnergyMeter;
 using sim::MetricsRegistry;
 using sim::Rng;
-using sim::Stats;
 using sim::Tracer;
 using sim::Vec2;
+// exists for perfbench, goes with the next benchmark change
+using Stats = sim::MetricsRegistry;
 
 /// Run-scoped services shared by every node of one run (one simulated world,
 /// or one daemon process in deployment mode).
@@ -36,9 +37,11 @@ class Services {
  public:
   virtual ~Services() = default;
 
-  virtual Stats& stats() noexcept = 0;
-  /// Interned-id registry backing stats(); hot paths update through this.
+  /// The run's metrics: cold sites update by name, per-packet sites by an
+  /// interned id.
   virtual MetricsRegistry& metrics() noexcept = 0;
+  // exists for perfbench, goes with the next benchmark change
+  virtual MetricsRegistry& stats() noexcept { return metrics(); }
   /// Structured event tracing.
   virtual Tracer& tracer() noexcept = 0;
 

@@ -112,7 +112,7 @@ void UdpHost::send_unfiltered(sim::Packet packet, sim::NodeId next_hop) {
   frame.rx = next_hop;
   frame.packet = std::move(packet);
   if (!encode_frame(frame, tx_scratch_)) {
-    stats_.add("net.udp.uncodable");
+    metrics_.add_named("net.udp.uncodable");
     return;
   }
   tracer_.emit({now(), sim::TraceType::kPacketTx, id(), frame.rx, frame.packet.uid,
@@ -128,7 +128,7 @@ void UdpHost::broadcast_bytes(const std::vector<std::uint8_t>& bytes) {
   for (std::size_t peer = 0; peer < config_.num_nodes; ++peer) {
     if (peer == config_.id) continue;
     if (config_.fault_loss > 0.0 && fault_rng_.chance(config_.fault_loss)) {
-      stats_.add("net.udp.fault_dropped");
+      metrics_.add_named("net.udp.fault_dropped");
       continue;
     }
     if (config_.fault_reorder > 0.0 && !holding_ && fault_rng_.chance(config_.fault_reorder)) {
@@ -137,7 +137,7 @@ void UdpHost::broadcast_bytes(const std::vector<std::uint8_t>& bytes) {
       held_datagram_ = bytes;
       held_peer_ = peer;
       holding_ = true;
-      stats_.add("net.udp.fault_reordered");
+      metrics_.add_named("net.udp.fault_reordered");
       continue;
     }
     send_datagram(peer, bytes);
@@ -156,7 +156,7 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
     const ssize_t n = ::sendto(fd_, bytes.data(), bytes.size(), 0,
                                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
     if (n >= 0) {
-      if (attempt > 0) stats_.add("net.udp.tx_retries", static_cast<double>(attempt));
+      if (attempt > 0) metrics_.add_named("net.udp.tx_retries", static_cast<double>(attempt));
       return;
     }
     const bool transient =
@@ -164,7 +164,7 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
     if (!transient || attempt >= 6) {
       // Radios lose frames; so can we. Count it and keep serving — a burst
       // of ENOBUFS must not kill a daemon that will be fine in a millisecond.
-      stats_.add("net.udp.tx_failed");
+      metrics_.add_named("net.udp.tx_failed");
       return;
     }
     ::usleep(static_cast<useconds_t>(backoff_us));

@@ -20,8 +20,8 @@
 
 #include "net/host.hpp"
 #include "net/steady_clock.hpp"
+#include "sim/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace icc::net {
@@ -50,8 +50,7 @@ class UdpHost final : public Host, public Transport {
   UdpHost& operator=(const UdpHost&) = delete;
 
   // --- Services ---
-  Stats& stats() noexcept override { return stats_; }
-  MetricsRegistry& metrics() noexcept override { return stats_.registry(); }
+  MetricsRegistry& metrics() noexcept override { return metrics_; }
   Tracer& tracer() noexcept override { return tracer_; }
   [[nodiscard]] Time now() const noexcept override { return clock_.now(); }
   [[nodiscard]] Rng fork_rng(std::uint64_t salt) override { return rng_.fork(salt); }
@@ -103,7 +102,7 @@ class UdpHost final : public Host, public Transport {
 
   UdpConfig config_;
   SteadyClock clock_;
-  sim::Stats stats_;
+  sim::MetricsRegistry metrics_;
   sim::Tracer tracer_;
   sim::Rng rng_;
   EnergyMeter energy_;

@@ -49,7 +49,7 @@ void SensorApp::sample_tick() {
   const double energy = measure(t);
   latest_ = Reading{t, energy, reported_pos_};
   has_reading_ = true;
-  node_.stats().add("sensor.samples");
+  node_.metrics().add_named("sensor.samples");
 
   const bool detected = energy > field_.model().lambda;
   consecutive_ = detected ? consecutive_ + 1 : 0;
@@ -58,12 +58,12 @@ void SensorApp::sample_tick() {
     // Centralized: raw data collection — every sample is shipped to the
     // base station, which runs detection centrally ("the base station
     // collects raw target notifications as they are generated", §5.2).
-    node_.stats().add("sensor.notifications");
+    node_.metrics().add_named("sensor.notifications");
     diffusion_.send_to_sink(latest_.serialize());
   } else if (detected && !suppressed()) {
     // Inner-circle: the first unsuppressed detector of the epoch initiates
     // statistical voting over its own reading.
-    node_.stats().add("sensor.rounds_initiated");
+    node_.metrics().add_named("sensor.rounds_initiated");
     icc_->initiate(latest_.serialize());
   }
 
@@ -89,7 +89,7 @@ void SensorApp::install_callbacks() {
     if (!center_reading) return std::nullopt;
     const sim::Time t = node_.now();
     const double energy = measure(t);
-    node_.stats().add("sensor.ondemand_samples");
+    node_.metrics().add_named("sensor.ondemand_samples");
     if (energy <= field_.model().lambda) return std::nullopt;
     return Reading{t, energy, reported_pos_}.serialize();
   };
@@ -110,7 +110,7 @@ void SensorApp::install_callbacks() {
     const FusedNotification fused =
         fuse_readings(field_.model(), readings, params_.fusion, &rejected);
     for (const sim::NodeId id : rejected) {
-      node_.stats().add("sensor.readings_rejected");
+      node_.metrics().add_named("sensor.readings_rejected");
       fault::report_detected(node_, fault::FaultClass::kSensor, id);
     }
     last_fused_dropped_ = std::move(rejected);
@@ -137,7 +137,7 @@ void SensorApp::install_callbacks() {
         fault::report_neutralized(node_, fault::FaultClass::kSensor, id);
       }
       last_fused_dropped_.clear();
-      node_.stats().add("sensor.notifications");
+      node_.metrics().add_named("sensor.notifications");
       diffusion_.send_to_sink(msg.serialize());
     }
   };

@@ -51,7 +51,7 @@ void BaseStation::handle_notification(const NotificationMsg& msg) {
                                                           agreed->level, agreed->value);
   if (agreed->sig.level != agreed->level || !scheme_->verify(signed_bytes, agreed->sig)) {
     ++rejected_;
-    node_.stats().add("bs.agreed_rejected");
+    node_.metrics().add_named("bs.agreed_rejected");
     node_.tracer().emit({now, sim::TraceType::kFusionDecision, node_.id(),
                          agreed->source, agreed->round, 0, 0.0, "rejected_signature"});
     return;

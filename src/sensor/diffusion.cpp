@@ -42,7 +42,7 @@ void Diffusion::flood_interest() {
   packet.size_bytes = InterestMsg::kWireSize;
   packet.body = std::move(interest);
   node_.transport().send(std::move(packet), sim::kBroadcast);
-  node_.stats().add("diff.interests_sent");
+  node_.metrics().add_named("diff.interests_sent");
 
   node_.clock().schedule_in(params_.interest_period, [this] { flood_interest(); },
                             net::EventTag::kSensor);
@@ -75,7 +75,7 @@ void Diffusion::handle_packet(const sim::Packet& packet, sim::NodeId from) {
   }
   if (const auto* notification = packet.body_as<NotificationMsg>()) {
     if (node_.id() == sink_) {
-      node_.stats().add("diff.notifications_delivered");
+      node_.metrics().add_named("diff.notifications_delivered");
       if (sink_handler_) sink_handler_(*notification, from);
     } else {
       forward(*notification);
@@ -88,13 +88,13 @@ void Diffusion::send_to_sink(std::vector<std::uint8_t> data) {
   msg->origin = node_.id();
   msg->uid = next_uid_++;
   msg->data = std::move(data);
-  node_.stats().add("diff.notifications_sent");
+  node_.metrics().add_named("diff.notifications_sent");
   forward(*msg);
 }
 
 void Diffusion::forward(const NotificationMsg& msg) {
   if (!has_gradient()) {
-    node_.stats().add("diff.no_gradient_drop");
+    node_.metrics().add_named("diff.no_gradient_drop");
     node_.tracer().emit({node_.now(), sim::TraceType::kPacketDrop, node_.id(),
                          sink_, msg.uid, 0, 0.0, "no_gradient"});
     return;

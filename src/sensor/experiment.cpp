@@ -127,7 +127,8 @@ SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& confi
   if (!result.coverage_consistent) {
     sim::dump_all_flight_recorders("coverage-ledger inconsistency");
   }
-  result.notifications = static_cast<std::uint64_t>(world.stats().get("sensor.notifications"));
+  result.notifications =
+      static_cast<std::uint64_t>(world.metrics().counter_value("sensor.notifications"));
   result.bs_detections = station.detections().size();
   result.bs_rejected = station.rejected();
 
@@ -201,36 +202,6 @@ SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& confi
   result.active_energy_mj = 1000.0 * active_sum / n;
   result.total_energy_j = total_sum / n;
   return result;
-}
-
-SensorExperimentResult run_sensor_experiment_averaged(SensorExperimentConfig config,
-                                                      int runs) {
-  SensorExperimentResult total;
-  for (int r = 0; r < runs; ++r) {
-    config.seed = config.seed * 6364136223846793005ull + 1442695040888963407ull;
-    const SensorExperimentResult one = run_sensor_experiment(config);
-    total.miss_prob += one.miss_prob;
-    total.false_alarm_prob += one.false_alarm_prob;
-    total.active_energy_mj += one.active_energy_mj;
-    total.total_energy_j += one.total_energy_j;
-    total.detection_latency_s += one.detection_latency_s;
-    total.localization_error_m += one.localization_error_m;
-    total.notifications += one.notifications;
-    total.bs_detections += one.bs_detections;
-    total.bs_rejected += one.bs_rejected;
-    total.targets += one.targets;
-    total.targets_detected += one.targets_detected;
-    total.coverage = one.coverage;
-    total.coverage_consistent = total.coverage_consistent && one.coverage_consistent;
-  }
-  const double k = runs > 0 ? static_cast<double>(runs) : 1.0;
-  total.miss_prob /= k;
-  total.false_alarm_prob /= k;
-  total.active_energy_mj /= k;
-  total.total_energy_j /= k;
-  total.detection_latency_s /= k;
-  total.localization_error_m /= k;
-  return total;
 }
 
 }  // namespace icc::sensor

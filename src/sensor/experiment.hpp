@@ -64,14 +64,11 @@ struct SensorExperimentResult {
   std::uint64_t targets_detected{0};
 
   /// Neutralization-coverage ledger rows (index = fault::FaultClass) and
-  /// the ledger's accounting-invariant verdict, from the (last) run.
+  /// the ledger's accounting-invariant verdict.
   std::array<fault::CoverageRow, fault::kNumFaultClasses> coverage{};
   bool coverage_consistent{true};
 };
 
 SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& config);
-
-/// Average over `runs` seeded instances.
-SensorExperimentResult run_sensor_experiment_averaged(SensorExperimentConfig config, int runs);
 
 }  // namespace icc::sensor

@@ -85,7 +85,7 @@ FlightRecorder::~FlightRecorder() {
   std::erase(reg.live, this);
 }
 
-void FlightRecorder::record(const TraceEvent& event) {
+void FlightRecorder::on_event(const TraceEvent& event) {
   std::uint16_t detail_id = 0;
   if (event.detail != nullptr) {
     if (event.detail == last_detail_) {

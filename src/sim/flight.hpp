@@ -2,7 +2,8 @@
 // binary trace records.
 //
 // With ICC_FLIGHT=1 every TraceEvent — all categories, independent of the
-// ICC_TRACE mask — is copied into a per-world ring of 56-byte POD records.
+// ICC_TRACE categories — is copied into a per-world ring of 56-byte POD
+// records: the recorder is one more trace sink, subscribed to everything.
 // Recording costs one interning lookup plus a struct store; nothing is
 // formatted and nothing is allocated after the ring is sized, so the ring
 // can stay enabled on production-scale runs (bench/trace_overhead measures
@@ -69,18 +70,19 @@ struct FlightDump {
   std::vector<std::string> details;       ///< index 0 is always ""
 };
 
-class FlightRecorder {
+/// A trace sink the tracer subscribes to every category.
+class FlightRecorder final : public TraceSink {
  public:
   /// `dump_base` prefixes the files written by dump(): each recorder gets a
   /// process-unique index, so concurrent campaign worlds never clobber each
   /// other's post-mortems.
   FlightRecorder(std::size_t capacity, std::string dump_base);
-  ~FlightRecorder();
+  ~FlightRecorder() override;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Hot path: intern the detail, store one record, advance the ring.
-  void record(const TraceEvent& event);
+  void on_event(const TraceEvent& event) override;
 
   [[nodiscard]] std::uint64_t total_emitted() const noexcept { return head_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }

@@ -1,49 +1,6 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-
 namespace icc::sim {
-
-Histogram::Histogram(std::vector<double> upper_bounds) : bounds_{std::move(upper_bounds)} {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  series_.add(v);
-}
-
-double Histogram::percentile(double q) const {
-  if (series_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(series_.count);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double lo = i == 0 ? series_.min : bounds_[i - 1];
-    const double hi = i < bounds_.size() ? bounds_[i] : series_.max;
-    const auto before = static_cast<double>(seen);
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= rank) {
-      const double frac =
-          (rank - before) / static_cast<double>(buckets_[i]);
-      const double v = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-      return std::clamp(v, series_.min, series_.max);
-    }
-  }
-  return series_.max;
-}
-
-std::vector<double> Histogram::time_buckets() {
-  // 1 µs .. ~2 min in x4 steps: fine enough for p99 of MAC backoffs and
-  // end-to-end latencies, coarse enough to stay a handful of cache lines.
-  std::vector<double> bounds;
-  for (double b = 1e-6; b < 120.0; b *= 4.0) bounds.push_back(b);
-  return bounds;
-}
 
 std::string MetricsRegistry::scoped(std::string_view base, NodeId node) {
   std::string name{base};
@@ -62,16 +19,6 @@ MetricId MetricsRegistry::gauge_id(const std::string& name) {
 
 MetricId MetricsRegistry::series_id(const std::string& name) {
   return intern(series_index_, series_, name);
-}
-
-MetricId MetricsRegistry::histogram_id(const std::string& name,
-                                       std::vector<double> upper_bounds) {
-  const auto it = histogram_index_.find(name);
-  if (it != histogram_index_.end()) return it->second;
-  const auto id = static_cast<MetricId>(histograms_.size());
-  histogram_index_.emplace(name, id);
-  histograms_.push_back(Entry<Histogram>{name, Histogram{std::move(upper_bounds)}});
-  return id;
 }
 
 double MetricsRegistry::counter_value(const std::string& name) const {

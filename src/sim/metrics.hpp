@@ -2,17 +2,16 @@
 //
 // Components intern a metric once (a name -> dense MetricId lookup) and then
 // update it through an index into a flat vector, so the per-packet hot path
-// never hashes a string. Four metric kinds cover the paper's evaluation
+// never hashes a string. Three metric kinds cover the paper's evaluation
 // needs:
 //
 //   Counter    monotone accumulator ("cbr.sent", "aodv.rreq_sent")
-//   Gauge      last-written value   ("energy_j.n12")
+//   Gauge      last-written value   ("fault.noise.budget_used")
 //   SampleSeries  streaming mean / min / max / Welford variance
 //                 ("cbr.latency", per-run throughput across a campaign)
-//   Histogram  fixed buckets with p50/p90/p99 extraction
 //
-// The string-keyed `Stats` facade in sim/stats.hpp rides on top of this
-// registry for call sites that have not migrated to interned ids yet.
+// Cold sites update by name (add_named), per-packet sites by an id interned
+// once at construction.
 #pragma once
 
 #include <cmath>
@@ -64,42 +63,6 @@ class SampleSeries {
   double m2_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts samples <= bounds[i]; one implicit
-/// overflow bucket collects the rest. Percentiles interpolate linearly inside
-/// the bucket that crosses the requested rank, clamped to the observed
-/// min/max so a sparse histogram never reports a value outside its data.
-class Histogram {
- public:
-  Histogram() = default;
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return series_.count; }
-  [[nodiscard]] double sum() const noexcept { return series_.sum; }
-  [[nodiscard]] double mean() const noexcept { return series_.mean(); }
-  [[nodiscard]] double min() const noexcept { return series_.min; }
-  [[nodiscard]] double max() const noexcept { return series_.max; }
-
-  /// Value at quantile `q` in [0,1]; NaN for an empty histogram.
-  [[nodiscard]] double percentile(double q) const;
-  [[nodiscard]] double p50() const { return percentile(0.50); }
-  [[nodiscard]] double p90() const { return percentile(0.90); }
-  [[nodiscard]] double p99() const { return percentile(0.99); }
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept { return bounds_; }
-  /// Per-bucket counts; size() == bounds().size() + 1 (last = overflow).
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept { return buckets_; }
-
-  /// Exponential default covering microseconds..minutes, for time metrics.
-  static std::vector<double> time_buckets();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_{0};
-  SampleSeries series_;  // exact count/sum/min/max alongside the buckets
-};
-
 /// Dense handle to one metric. Obtain via MetricsRegistry interning; updates
 /// through it are a single vector index — no hashing, no allocation.
 using MetricId = std::uint32_t;
@@ -111,34 +74,26 @@ class MetricsRegistry {
   MetricId counter_id(const std::string& name);
   MetricId gauge_id(const std::string& name);
   MetricId series_id(const std::string& name);
-  /// Re-interning an existing histogram keeps its original bounds.
-  MetricId histogram_id(const std::string& name, std::vector<double> upper_bounds);
 
-  /// Per-node scoped name, e.g. scoped("energy_j", 12) == "energy_j.n12".
+  /// Per-node scoped name, e.g. scoped("blackhole.data_dropped", 12) ==
+  /// "blackhole.data_dropped.n12".
   static std::string scoped(std::string_view base, NodeId node);
   MetricId node_counter_id(std::string_view base, NodeId node) {
     return counter_id(scoped(base, node));
-  }
-  MetricId node_gauge_id(std::string_view base, NodeId node) {
-    return gauge_id(scoped(base, node));
   }
 
   // ------------------------------------------------------- updates (hot)
   void add(MetricId id, double v = 1.0) { counters_[id].value += v; }
   void set(MetricId id, double v) { gauges_[id].value = v; }
   void sample(MetricId id, double v) { series_[id].value.add(v); }
-  void observe(MetricId id, double v) { histograms_[id].value.observe(v); }
 
-  /// String-keyed updates for call sites that intern at update time (the
-  /// Stats facade, the coverage ledger).
+  /// By-name update for cold call sites: interns on first use, then adds.
   void add_named(const std::string& name, double v = 1.0) { add(counter_id(name), v); }
-  void sample_named(const std::string& name, double v) { sample(series_id(name), v); }
 
   // ------------------------------------------------------- reads (cold)
   [[nodiscard]] double counter(MetricId id) const { return counters_[id].value; }
   [[nodiscard]] double gauge(MetricId id) const { return gauges_[id].value; }
   [[nodiscard]] const SampleSeries& series(MetricId id) const { return series_[id].value; }
-  [[nodiscard]] const Histogram& histogram(MetricId id) const { return histograms_[id].value; }
 
   /// Value of a counter by name; 0.0 when the name was never interned.
   [[nodiscard]] double counter_value(const std::string& name) const;
@@ -160,10 +115,6 @@ class MetricsRegistry {
   void for_each_series(Fn&& fn) const {
     for (const auto& e : series_) fn(e.name, e.value);
   }
-  template <typename Fn>
-  void for_each_histogram(Fn&& fn) const {
-    for (const auto& e : histograms_) fn(e.name, e.value);
-  }
 
  private:
   template <typename T>
@@ -183,11 +134,9 @@ class MetricsRegistry {
   std::unordered_map<std::string, MetricId> counter_index_;
   std::unordered_map<std::string, MetricId> gauge_index_;
   std::unordered_map<std::string, MetricId> series_index_;
-  std::unordered_map<std::string, MetricId> histogram_index_;
   std::vector<Entry<double>> counters_;
   std::vector<Entry<double>> gauges_;
   std::vector<Entry<SampleSeries>> series_;
-  std::vector<Entry<Histogram>> histograms_;
 };
 
 }  // namespace icc::sim

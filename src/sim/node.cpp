@@ -15,7 +15,6 @@ Node::Node(World& world, NodeId id, std::unique_ptr<Mobility> mobility,
 
 Vec2 Node::position() const { return mobility_->position(world_.now()); }
 
-Stats& Node::stats() noexcept { return world_.stats(); }
 MetricsRegistry& Node::metrics() noexcept { return world_.metrics(); }
 Tracer& Node::tracer() noexcept { return world_.tracer(); }
 Time Node::now() const noexcept { return world_.now(); }

@@ -48,7 +48,6 @@ class Node final : public net::Host, public net::Transport {
 
   // net::Host implementation — the node is the protocol stack's window onto
   // its world (out of line: World is incomplete here).
-  Stats& stats() noexcept override;
   MetricsRegistry& metrics() noexcept override;
   Tracer& tracer() noexcept override;
   [[nodiscard]] Time now() const noexcept override;

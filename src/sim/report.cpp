@@ -31,7 +31,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// NaN (empty-series min/max, empty-histogram percentiles) -> null.
+/// NaN (empty-series min/max) -> null.
 std::string json_number(double v) {
   if (std::isnan(v) || std::isinf(v)) return "null";
   char buf[32];
@@ -88,10 +88,6 @@ void RunReport::add_metrics(const MetricsRegistry& registry, const std::string& 
   registry.for_each_series([&](const std::string& name, const SampleSeries& s) {
     add_series(prefix + name, s);
   });
-  registry.for_each_histogram([&](const std::string& name, const Histogram& h) {
-    histograms_[prefix + name] = HistogramStats{h.count(), h.mean(),  h.p50(), h.p90(),
-                                                h.p99(),   h.min(),   h.max()};
-  });
 }
 
 void RunReport::write_json(std::ostream& out) const {
@@ -108,18 +104,12 @@ void RunReport::write_json(std::ostream& out) const {
     return "{\"count\":" + std::to_string(s.count) + ",\"mean\":" + json_number(s.mean) +
            ",\"stddev\":" + json_number(s.stddev) + ",\"min\":" + json_number(s.min) +
            ",\"max\":" + json_number(s.max) + ",\"sum\":" + json_number(s.sum) + "}";
-  }, true);
-  write_json_object(out, "histograms", histograms_, [](const HistogramStats& h) {
-    return "{\"count\":" + std::to_string(h.count) + ",\"mean\":" + json_number(h.mean) +
-           ",\"p50\":" + json_number(h.p50) + ",\"p90\":" + json_number(h.p90) +
-           ",\"p99\":" + json_number(h.p99) + ",\"min\":" + json_number(h.min) +
-           ",\"max\":" + json_number(h.max) + "}";
   }, false);
   out << "}\n";
 }
 
 void RunReport::write_csv(std::ostream& out) const {
-  out << "kind,name,count,value,mean,stddev,min,max,p50,p90,p99\n";
+  out << "kind,name,count,value,mean,stddev,min,max\n";
   for (const auto& [key, value] : meta_) {
     out << "meta," << key << ",,";
     if (const auto* s = std::get_if<std::string>(&value)) {
@@ -129,23 +119,18 @@ void RunReport::write_csv(std::ostream& out) const {
     } else {
       out << std::get<std::uint64_t>(value);
     }
-    out << ",,,,,,,\n";
+    out << ",,,,\n";
   }
   for (const auto& [name, v] : counters_) {
-    out << "counter," << name << ",," << csv_number(v) << ",,,,,,,\n";
+    out << "counter," << name << ",," << csv_number(v) << ",,,,\n";
   }
   for (const auto& [name, v] : gauges_) {
-    out << "gauge," << name << ",," << csv_number(v) << ",,,,,,,\n";
+    out << "gauge," << name << ",," << csv_number(v) << ",,,,\n";
   }
   for (const auto& [name, s] : series_) {
     out << "series," << name << ',' << s.count << ",," << csv_number(s.mean) << ','
         << csv_number(s.stddev) << ',' << csv_number(s.min) << ',' << csv_number(s.max)
-        << ",,,\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    out << "histogram," << name << ',' << h.count << ",," << csv_number(h.mean) << ",,"
-        << csv_number(h.min) << ',' << csv_number(h.max) << ',' << csv_number(h.p50) << ','
-        << csv_number(h.p90) << ',' << csv_number(h.p99) << '\n';
+        << '\n';
   }
 }
 

@@ -8,16 +8,13 @@
 //     "counters":   { "<name>": <number>, ... },
 //     "gauges":     { "<name>": <number>, ... },
 //     "series":     { "<name>": {"count":N,"mean":..,"stddev":..,
-//                                "min":..,"max":..,"sum":..}, ... },
-//     "histograms": { "<name>": {"count":N,"mean":..,"p50":..,"p90":..,
-//                                "p99":..,"min":..,"max":..}, ... }
+//                                "min":..,"max":..,"sum":..}, ... }
 //   }
-// Missing statistics (min of an empty series, percentile of an empty
-// histogram) serialize as null. Keys are emitted in sorted order so reports
-// diff cleanly.
+// Missing statistics (min and max of an empty series) serialize as null.
+// Keys are emitted in sorted order so reports diff cleanly.
 //
 // CSV layout: one row per metric,
-//   kind,name,count,value,mean,stddev,min,max,p50,p90,p99
+//   kind,name,count,value,mean,stddev,min,max
 // with empty cells where a column does not apply to the kind.
 #pragma once
 
@@ -63,16 +60,11 @@ class RunReport {
     std::uint64_t count{0};
     double mean{0.0}, stddev{0.0}, min{0.0}, max{0.0}, sum{0.0};
   };
-  struct HistogramStats {
-    std::uint64_t count{0};
-    double mean{0.0}, p50{0.0}, p90{0.0}, p99{0.0}, min{0.0}, max{0.0};
-  };
 
   std::map<std::string, std::variant<std::string, double, std::uint64_t>> meta_;
   std::map<std::string, double> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, SeriesStats> series_;
-  std::map<std::string, HistogramStats> histograms_;
 };
 
 }  // namespace icc::sim

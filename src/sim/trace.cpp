@@ -3,6 +3,7 @@
 #include "exp/env.hpp"
 #include "sim/flight.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -203,48 +204,51 @@ void PerfettoTraceSink::on_event(const TraceEvent& e) {
 }
 
 std::uint32_t Tracer::parse_mask(const char* spec) {
-  if (spec == nullptr) return 0;
+  if (spec == nullptr || *spec == '\0') return 0;
   std::uint32_t mask = 0;
   std::string_view rest{spec};
-  while (!rest.empty()) {
+  while (true) {
     const auto comma = rest.find(',');
-    std::string_view token = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{} : rest.substr(comma + 1);
+    const std::string_view token = rest.substr(0, comma);
     if (token == "all") {
-      return (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
+      mask = kAllTraceCategories;
+    } else {
+      const auto* it = std::find(kCategoryNames.begin(), kCategoryNames.end(), token);
+      if (it == kCategoryNames.end()) {
+        exp::env_fail("ICC_TRACE", spec,
+                      "category list (packet,mac,route,voting,watchdog,fusion,energy,fault,"
+                      "suspicion,health or all)");
+      }
+      mask |= 1u << static_cast<unsigned>(it - kCategoryNames.begin());
     }
-    for (std::size_t c = 0; c < kCategoryNames.size(); ++c) {
-      if (token == kCategoryNames[c]) mask |= 1u << c;
-    }
+    if (comma == std::string_view::npos) return mask;
+    rest = rest.substr(comma + 1);
   }
-  return mask;
 }
 
 void Tracer::configure_from_env() {
   const std::uint32_t mask = parse_mask(exp::env_string("ICC_TRACE").c_str());
   if (mask != 0) {
-    mask_ |= mask;
     const std::string path = exp::env_string("ICC_TRACE_FILE");
     if (!path.empty()) {
       std::ostream& out = shared_file_stream(path);
       const std::string_view p{path};
       if (p.size() >= 6 && p.substr(p.size() - 6) == ".jsonl") {
-        add_owned_sink(std::make_unique<JsonlTraceSink>(out));
+        add_owned_sink(std::make_unique<JsonlTraceSink>(out), mask);
       } else {
-        add_owned_sink(std::make_unique<LineTraceSink>(out));
+        add_owned_sink(std::make_unique<LineTraceSink>(out), mask);
       }
     } else {
-      add_owned_sink(std::make_unique<LineTraceSink>(std::cerr));
+      add_owned_sink(std::make_unique<LineTraceSink>(std::cerr), mask);
     }
   }
   const std::string perfetto = exp::env_string("ICC_TRACE_PERFETTO");
   if (!perfetto.empty()) {
-    // The export wants the whole picture: enable every category.
-    mask_ = (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
+    // The export wants the whole picture: subscribe it to every category.
     bool first_open = false;
     std::ostream& out = shared_file_stream(perfetto, &first_open);
     if (first_open) out << "[\n";  // closing ']' is optional in the format
-    add_owned_sink(std::make_unique<PerfettoTraceSink>(out));
+    add_owned_sink(std::make_unique<PerfettoTraceSink>(out), kAllTraceCategories);
   }
   if (exp::env_int("ICC_FLIGHT", 0) != 0) {
     const int records = exp::env_int("ICC_FLIGHT_RECORDS", 0);
@@ -258,21 +262,25 @@ Tracer::~Tracer() = default;
 
 void Tracer::enable_flight(std::size_t capacity, std::string dump_base) {
   if (flight_ != nullptr) return;  // one ring per world is enough
-  owned_flight_ = std::make_unique<FlightRecorder>(capacity, std::move(dump_base));
-  flight_ = owned_flight_.get();
+  auto recorder = std::make_unique<FlightRecorder>(capacity, std::move(dump_base));
+  flight_ = recorder.get();
+  add_owned_sink(std::move(recorder), kAllTraceCategories);
 }
 
-void Tracer::flight_record(const TraceEvent& event) { flight_->record(event); }
+void Tracer::add_sink(TraceSink* sink, std::uint32_t mask) {
+  sinks_.push_back({sink, mask});
+  mask_ |= mask;
+}
 
-void Tracer::add_sink(TraceSink* sink) { sinks_.push_back(sink); }
-
-void Tracer::add_owned_sink(std::unique_ptr<TraceSink> sink) {
-  sinks_.push_back(sink.get());
+void Tracer::add_owned_sink(std::unique_ptr<TraceSink> sink, std::uint32_t mask) {
+  add_sink(sink.get(), mask);
   owned_.push_back(std::move(sink));
 }
 
-void Tracer::dispatch(const TraceEvent& event) {
-  for (TraceSink* sink : sinks_) sink->on_event(event);
+void Tracer::dispatch(const TraceEvent& event, std::uint32_t bit) {
+  for (const Subscription& s : sinks_) {
+    if ((s.mask & bit) != 0) s.sink->on_event(event);
+  }
 }
 
 }  // namespace icc::sim

@@ -3,8 +3,9 @@
 // Every layer emits typed TraceEvents (packet tx/rx/drop with reason, MAC
 // collision/backoff, route discovery, voting rounds, watchdog accusations,
 // fusion decisions, energy charges) into the World's Tracer. Subscribers
-// (sinks) render them — an ns-2-style line format, JSONL, or an in-memory
-// collector for tests.
+// (sinks) render them — an ns-2-style line format, JSONL, a Perfetto
+// export, the flight recorder's ring, or an in-memory collector for tests.
+// Each sink subscribes with its own category mask.
 //
 // Hot-path contract: with tracing disabled (no `ICC_TRACE`, no sinks) an
 // emission is a single mask test on an integer — no string formatting, no
@@ -24,7 +25,7 @@
 // Environment knobs (read by World at construction):
 //   ICC_TRACE       comma-separated categories to enable:
 //                   packet,mac,route,voting,watchdog,fusion,energy,fault,
-//                   suspicion,health  or  all
+//                   suspicion,health  or  all; an unknown name aborts
 //   ICC_TRACE_FILE  write the trace there instead of stderr; a path ending
 //                   in .jsonl selects the JSONL sink, anything else the
 //                   ns-2-style line sink. Worlds created by the same process
@@ -36,9 +37,11 @@
 //   ICC_TRACE_PERFETTO  also export every category to a Chrome/Perfetto
 //                   trace-event JSON file at the given path (per-node
 //                   tracks, lineage flow arrows, health counter tracks).
+//                   The ICC_TRACE sink keeps its own categories.
 //   ICC_FLIGHT      enable the always-on in-memory flight recorder
-//                   (sim/flight.hpp); ICC_FLIGHT_RECORDS sizes the ring,
-//                   ICC_FLIGHT_DUMP sets the dump path prefix.
+//                   (sim/flight.hpp), a sink of every category;
+//                   ICC_FLIGHT_RECORDS sizes the ring, ICC_FLIGHT_DUMP sets
+//                   the dump path prefix.
 #pragma once
 
 #include <cstdint>
@@ -111,8 +114,8 @@ struct TraceEvent {
   std::uint64_t parent{0};     ///< span of the event that caused this one
 };
 
-/// Subscriber interface. Sinks registered on a Tracer see every event that
-/// passes the category mask.
+/// Subscriber interface. A sink registered on a Tracer sees every event in
+/// the categories it subscribed to.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -169,6 +172,10 @@ class CollectingTraceSink final : public TraceSink {
 
 class FlightRecorder;
 
+/// Every category: `parse_mask("all")`.
+inline constexpr std::uint32_t kAllTraceCategories =
+    (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u;
+
 class Tracer {
  public:
   Tracer();
@@ -181,27 +188,24 @@ class Tracer {
   /// harmless to call on an already-set-up tracer.
   void configure_from_env();
 
-  /// `spec` is a comma-separated category list ("packet,voting") or "all";
-  /// unknown names are ignored, empty spec yields 0.
+  /// `spec` is the ICC_TRACE value: a comma-separated category list
+  /// ("packet,voting") or "all". An empty spec yields 0; an unknown name
+  /// aborts through exp::env_fail, naming ICC_TRACE and the categories.
   static std::uint32_t parse_mask(const char* spec);
 
-  void set_mask(std::uint32_t mask) noexcept { mask_ = mask; }
-  [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
+  /// Subscribe `sink` to the categories in `mask`. The sink stays owned by
+  /// the caller and must outlive the tracer.
+  void add_sink(TraceSink* sink, std::uint32_t mask);
+  void add_owned_sink(std::unique_ptr<TraceSink> sink, std::uint32_t mask);
 
-  /// The sink stays owned by the caller and must outlive the tracer.
-  void add_sink(TraceSink* sink);
-  void add_owned_sink(std::unique_ptr<TraceSink> sink);
-
-  /// The flight recorder sees every category regardless of the mask, so its
-  /// ring is complete when a post-mortem needs it; it never leaks events
-  /// into the text sinks, which keep honoring mask_.
+  /// Subscribe a flight recorder to every category, so its ring is complete
+  /// when a post-mortem needs it.
   void enable_flight(std::size_t capacity, std::string dump_base);
   [[nodiscard]] FlightRecorder* flight() const noexcept { return flight_; }
 
   /// Hot-path guard: one AND plus a compare when tracing is off.
   [[nodiscard]] bool enabled(TraceCategory cat) const noexcept {
-    return ((mask_ & (1u << static_cast<unsigned>(cat))) != 0 && !sinks_.empty()) ||
-           flight_ != nullptr;
+    return (mask_ & (1u << static_cast<unsigned>(cat))) != 0;
   }
   [[nodiscard]] bool enabled(TraceType type) const noexcept {
     return enabled(trace_category(type));
@@ -211,22 +215,22 @@ class Tracer {
   /// should still guard with enabled() when assembling the event costs
   /// anything beyond writing POD fields.
   void emit(const TraceEvent& event) {
-    if (flight_ != nullptr) flight_record(event);
-    if ((mask_ & (1u << static_cast<unsigned>(trace_category(event.type)))) != 0 &&
-        !sinks_.empty()) {
-      dispatch(event);
-    }
+    const std::uint32_t bit = 1u << static_cast<unsigned>(trace_category(event.type));
+    if ((mask_ & bit) != 0) dispatch(event, bit);
   }
 
  private:
-  void dispatch(const TraceEvent& event);
-  void flight_record(const TraceEvent& event);  // out of line: needs flight.hpp
+  struct Subscription {
+    TraceSink* sink;
+    std::uint32_t mask;
+  };
 
-  std::uint32_t mask_{0};
+  void dispatch(const TraceEvent& event, std::uint32_t bit);
+
+  std::uint32_t mask_{0};  ///< union of the subscriptions' masks
   FlightRecorder* flight_{nullptr};
-  std::vector<TraceSink*> sinks_;
+  std::vector<Subscription> sinks_;
   std::vector<std::unique_ptr<TraceSink>> owned_;
-  std::unique_ptr<FlightRecorder> owned_flight_;
 };
 
 }  // namespace icc::sim

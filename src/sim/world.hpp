@@ -12,10 +12,10 @@
 #include "sim/grid.hpp"
 #include "sim/mac.hpp"
 #include "sim/medium.hpp"
+#include "sim/metrics.hpp"
 #include "sim/node.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
 
@@ -57,11 +57,8 @@ class World final : public net::Services {
 
   Scheduler& sched() noexcept { return sched_; }
   Medium& medium() noexcept { return medium_; }
-  Stats& stats() noexcept override { return stats_; }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// Interned-id registry backing stats(); hot paths update through this.
-  MetricsRegistry& metrics() noexcept override { return stats_.registry(); }
-  [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return stats_.registry(); }
+  MetricsRegistry& metrics() noexcept override { return metrics_; }
+  [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
   /// Structured event tracing (configured from ICC_TRACE at construction).
   Tracer& tracer() noexcept override { return tracer_; }
   [[nodiscard]] const Tracer& tracer() const noexcept { return tracer_; }
@@ -147,7 +144,7 @@ class World final : public net::Services {
   Scheduler sched_;
   Medium medium_;
   Rng rng_;
-  Stats stats_;
+  MetricsRegistry metrics_;
   Tracer tracer_;
   std::vector<std::unique_ptr<Node>> nodes_;
   PacketTransform packet_transform_;

@@ -85,18 +85,18 @@ TEST_F(AodvTest, UnreachableDestinationGivesUpAfterRetries) {
   world_->run_until(15.0);
   EXPECT_TRUE(deliveries_.empty());
   EXPECT_FALSE(agents_[0]->has_route(99));
-  EXPECT_GE(world_->stats().get("aodv.discovery_failed"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("aodv.discovery_failed"), 1.0);
 }
 
 TEST_F(AodvTest, SecondFlowReusesEstablishedRoute) {
   build_chain(4);
   agents_[0]->send_data(3, DataMsg{});
   world_->run_until(3.0);
-  const double rreqs_after_first = world_->stats().get("aodv.rreq_sent");
+  const double rreqs_after_first = world_->metrics().counter_value("aodv.rreq_sent");
   agents_[0]->send_data(3, DataMsg{});
   world_->run_until(4.0);
   EXPECT_EQ(deliveries_.size(), 2u);
-  EXPECT_DOUBLE_EQ(world_->stats().get("aodv.rreq_sent"), rreqs_after_first);
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("aodv.rreq_sent"), rreqs_after_first);
 }
 
 TEST_F(AodvTest, RouteExpiresWithoutUse) {
@@ -120,7 +120,7 @@ TEST_F(AodvTest, BrokenLinkTriggersRediscovery) {
   agents_[0]->send_data(4, DataMsg{});
   world_->run_until(10.0);
   EXPECT_EQ(deliveries_.size(), 1u);
-  EXPECT_GE(world_->stats().get("aodv.link_failures"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("aodv.link_failures"), 1.0);
 }
 
 TEST_F(AodvTest, AlternatePathUsedAfterFailure) {

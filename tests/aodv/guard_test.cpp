@@ -81,7 +81,7 @@ TEST_F(GuardTest, GuardedRouteDiscoveryStillWorks) {
   ASSERT_EQ(deliveries_.size(), 1u);
   EXPECT_EQ(deliveries_[0].at, 4u);
   // Every hop of the RREP went through a voting round.
-  EXPECT_GE(world_->stats().get("ivs.rounds_completed"), 2.0);
+  EXPECT_GE(world_->metrics().counter_value("ivs.rounds_completed"), 2.0);
 }
 
 TEST_F(GuardTest, RawRrepsAreSuppressedAtGuardedNodes) {
@@ -102,10 +102,10 @@ TEST_F(GuardTest, RawRrepsAreSuppressedAtGuardedNodes) {
   packet.port = sim::Port::kAodv;
   packet.size_bytes = RrepMsg::kWireSize;
   packet.body = std::make_shared<RrepMsg>(rrep);
-  const double suppressed_before = world_->stats().get("icc.suppressed_raw");
+  const double suppressed_before = world_->metrics().counter_value("icc.suppressed_raw");
   world_->node(2).link_send_unfiltered(std::move(packet), 1);
   world_->run_until(11.0);
-  EXPECT_GT(world_->stats().get("icc.suppressed_raw"), suppressed_before);
+  EXPECT_GT(world_->metrics().counter_value("icc.suppressed_raw"), suppressed_before);
 }
 
 TEST_F(GuardTest, BlackholeRrepCannotEstablishRoute) {
@@ -123,7 +123,7 @@ TEST_F(GuardTest, BlackholeRrepCannotEstablishRoute) {
   EXPECT_EQ(deliveries_.size(), 8u);
   // The forged RREP was sent but dropped by interceptors; nobody routes to
   // 4 via the attacker (node id 5).
-  EXPECT_GT(world_->stats().get("blackhole.rrep_sent"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("blackhole.rrep_sent"), 0.0);
   for (const auto& agent : agents_) {
     EXPECT_NE(agent->next_hop_to(4), 5u);
   }

@@ -71,7 +71,7 @@ TEST_F(IntermediateRrepTest, CachedRouteAnswersSecondDiscovery) {
   agents_[5]->send_data(4, DataMsg{});
   world_->run_until(6.0);
   EXPECT_EQ(delivered_, 2);
-  EXPECT_GE(world_->stats().get("aodv.intermediate_rrep"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("aodv.intermediate_rrep"), 1.0);
 }
 
 TEST_F(IntermediateRrepTest, DestOnlySuppressesIntermediateReplies) {
@@ -81,7 +81,7 @@ TEST_F(IntermediateRrepTest, DestOnlySuppressesIntermediateReplies) {
   agents_[5]->send_data(4, DataMsg{});
   world_->run_until(6.0);
   EXPECT_EQ(delivered_, 2);
-  EXPECT_DOUBLE_EQ(world_->stats().get("aodv.intermediate_rrep"), 0.0);
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("aodv.intermediate_rrep"), 0.0);
 }
 
 TEST_F(IntermediateRrepTest, GuardedIntermediateReplyPassesFig6Check) {
@@ -97,7 +97,7 @@ TEST_F(IntermediateRrepTest, GuardedIntermediateReplyPassesFig6Check) {
   EXPECT_EQ(delivered_, 2);
   // The second discovery was answered from a cache somewhere along the
   // chain, and the reply still traveled as agreed messages only.
-  EXPECT_GE(world_->stats().get("aodv.intermediate_rrep"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("aodv.intermediate_rrep"), 1.0);
 }
 
 }  // namespace

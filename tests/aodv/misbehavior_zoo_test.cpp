@@ -77,13 +77,13 @@ TEST_F(MisbehaviorZooTest, CoopPairDivertsDataToThePartnerWhoDropsIt) {
 
   // The attractor wins the route, retransmits for real (a watchdog would
   // hear it and clear the charge), and the partner destroys the packet.
-  EXPECT_GT(world_->stats().get("misbehavior.data_diverted"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("misbehavior.data_diverted"), 0.0);
   EXPECT_GT(partner.packets_dropped(), 0u);
   // The per-kind counter books every injected action of the pair's
   // attractor: its forged RREPs plus each diversion.
-  EXPECT_EQ(world_->stats().get("fault.kind.coop_blackhole"),
-            world_->stats().get("misbehavior.data_diverted") +
-                world_->stats().get("blackhole.rrep_sent"));
+  EXPECT_EQ(world_->metrics().counter_value("fault.kind.coop_blackhole"),
+            world_->metrics().counter_value("misbehavior.data_diverted") +
+                world_->metrics().counter_value("blackhole.rrep_sent"));
   EXPECT_LT(delivered_, 8);
 
   const fault::CoverageLedger ledger{*world_};
@@ -100,7 +100,7 @@ TEST_F(MisbehaviorZooTest, ForgeNextHopMisroutesToAGhostNode) {
 
   // Attracted packets are retransmitted to a node id that does not exist:
   // the frame is real (watchdog-clean) but dies unacked on the air.
-  EXPECT_GT(world_->stats().get("misbehavior.data_misrouted"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("misbehavior.data_misrouted"), 0.0);
   EXPECT_LT(delivered_, 8);
 
   // The ghost hop must never leak into the ledger's per-node attribution
@@ -122,9 +122,9 @@ TEST_F(MisbehaviorZooTest, RushedRrepWinsWithAPlausibleBump) {
 
   // The rusher answered discoveries (small bump, first reply) and each
   // forged RREP booked the per-kind counter.
-  EXPECT_GT(world_->stats().get("blackhole.rrep_sent"), 0.0);
-  EXPECT_EQ(world_->stats().get("blackhole.rrep_sent"),
-            world_->stats().get("fault.kind.rushed_rrep"));
+  EXPECT_GT(world_->metrics().counter_value("blackhole.rrep_sent"), 0.0);
+  EXPECT_EQ(world_->metrics().counter_value("blackhole.rrep_sent"),
+            world_->metrics().counter_value("fault.kind.rushed_rrep"));
   EXPECT_TRUE(fault::CoverageLedger{*world_}.consistent());
 }
 
@@ -142,7 +142,7 @@ TEST_F(MisbehaviorZooTest, ZeroDropProbabilityForwardsEverything) {
   // Attraction without dropping is a detour, not an outage. (The attacker
   // has no real route to the destination, so some packets may still take
   // the honest chain; none may be silently destroyed.)
-  EXPECT_EQ(world_->stats().get("blackhole.data_dropped"), 0.0);
+  EXPECT_EQ(world_->metrics().counter_value("blackhole.data_dropped"), 0.0);
   EXPECT_GT(delivered_, 0);
   EXPECT_TRUE(fault::CoverageLedger{*world_}.consistent());
 }
@@ -154,7 +154,7 @@ TEST_F(MisbehaviorZooTest, CertainDropProbabilityIsABlackHole) {
   send_data_burst(6, 3);
   world_->run_until(20.0);
 
-  EXPECT_GT(world_->stats().get("blackhole.data_dropped"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("blackhole.data_dropped"), 0.0);
   EXPECT_LT(delivered_, 6);
   EXPECT_TRUE(fault::CoverageLedger{*world_}.consistent());
 }

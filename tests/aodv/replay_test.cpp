@@ -92,13 +92,13 @@ TEST_F(ReplayTest, GuardSuppressesEveryReplayedRrep) {
   stale.orig = 0;
   stale.hop_count = 1;
   attacker_->inject_rrep(stale, 1);
-  const double suppressed_before = world_->stats().get("icc.suppressed_raw");
+  const double suppressed_before = world_->metrics().counter_value("icc.suppressed_raw");
   world_->run_until(25.0);
 
-  EXPECT_GT(world_->stats().get("misbehavior.rrep_replayed"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("misbehavior.rrep_replayed"), 0.0);
   // Every replayed copy arrived raw at a guarded node and was suppressed
   // there, so the forged freshness never entered a routing table.
-  EXPECT_GT(world_->stats().get("icc.suppressed_raw"), suppressed_before);
+  EXPECT_GT(world_->metrics().counter_value("icc.suppressed_raw"), suppressed_before);
   for (const auto& agent : agents_) {
     EXPECT_NE(agent->next_hop_to(3), attacker_id_);
   }
@@ -139,7 +139,7 @@ TEST_F(ReplayTest, StaleSequenceNumberCannotPoisonPlainAodv) {
   }
   world_->run_until(20.0);
 
-  EXPECT_GT(world_->stats().get("misbehavior.rrep_replayed"), 0.0);
+  EXPECT_GT(world_->metrics().counter_value("misbehavior.rrep_replayed"), 0.0);
   // AODV's sequence-number check rejects the stale copy: node 1 still
   // routes through the honest next hop and never through the attacker.
   EXPECT_EQ(agents_[1]->next_hop_to(3), 2u);

@@ -86,7 +86,7 @@ TEST_F(AdversarialTest, ForgedAgreedMessageRejectedAndSenderSuspected) {
   inject(forged, sim::kBroadcast);
   world_->run_until(6.0);
   EXPECT_EQ(delivered, 0);
-  EXPECT_GE(world_->stats().get("ivs.agreed_rejected"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("ivs.agreed_rejected"), 1.0);
   int suspicions = 0;
   for (auto& circle : circles_) {
     if (circle->suspicions().suspected(attacker_->id(), world_->now())) ++suspicions;
@@ -205,7 +205,7 @@ TEST_F(AdversarialTest, SolicitFloodFromSuspectIsIgnored) {
       return Value{1};
     };
   }
-  const double acks_before = world_->stats().get("ivs.acks_sent");
+  const double acks_before = world_->metrics().counter_value("ivs.acks_sent");
   for (int i = 0; i < 20; ++i) {
     auto solicit = std::make_shared<SolicitMsg>();
     solicit->center = attacker_->id();
@@ -215,7 +215,7 @@ TEST_F(AdversarialTest, SolicitFloodFromSuspectIsIgnored) {
     inject(solicit, sim::kBroadcast);
   }
   world_->run_until(6.0);
-  EXPECT_DOUBLE_EQ(world_->stats().get("ivs.acks_sent"), acks_before);
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("ivs.acks_sent"), acks_before);
 }
 
 TEST_F(AdversarialTest, UnsuspectedCompromisedCenterStillNeedsApprovals) {
@@ -239,7 +239,7 @@ TEST_F(AdversarialTest, UnsuspectedCompromisedCenterStillNeedsApprovals) {
   // The propose is dropped even before the application check runs: the
   // attacker never completed STS authentication, so no honest node
   // considers it an inner-circle center at all. Either way, zero approvals.
-  EXPECT_DOUBLE_EQ(world_->stats().get("ivs.acks_sent"), 0.0);
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("ivs.acks_sent"), 0.0);
 }
 
 TEST_F(AdversarialTest, AuthenticatedCompromisedCenterMaskedByCheck) {
@@ -260,7 +260,7 @@ TEST_F(AdversarialTest, AuthenticatedCompromisedCenterMaskedByCheck) {
   circles_[5]->callbacks().on_abort = [&](std::uint64_t, const Value&) { aborted = true; };
   circles_[5]->initiate(Value{0xEE});
   world_->run_until(6.0);
-  EXPECT_GE(world_->stats().get("ivs.check_rejected"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("ivs.check_rejected"), 1.0);
   EXPECT_FALSE(agreed);
   EXPECT_TRUE(aborted);
 }

@@ -156,6 +156,12 @@ TEST(Runner, RejectsEmptyJobAndBadRuns) {
   campaign.job = nullptr;
   EXPECT_THROW(icc::exp::run_campaign(campaign, icc::exp::RunnerOptions{}.with_journal("").quiet()),
                std::invalid_argument);
+  // A grid with no axis has no cell: the campaign would run nothing and
+  // every mean() would read 0.0.
+  Campaign no_axis = synthetic_campaign(1);
+  no_axis.grid = ParamGrid{};
+  EXPECT_THROW(icc::exp::run_campaign(no_axis, icc::exp::RunnerOptions{}.with_journal("").quiet()),
+               std::invalid_argument);
 }
 
 }  // namespace

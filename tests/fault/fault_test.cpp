@@ -214,10 +214,9 @@ TEST_F(LedgerTest, EmptyWorldIsConsistent) {
 
 TEST_F(LedgerTest, ReportsEmitFaultTraceEvents) {
   sim::World& world = build();
-  world.tracer().set_mask(1u << static_cast<unsigned>(sim::TraceCategory::kFault));
   auto sink = std::make_unique<sim::CollectingTraceSink>();
   const sim::CollectingTraceSink* events = sink.get();
-  world.tracer().add_owned_sink(std::move(sink));
+  world.tracer().add_owned_sink(std::move(sink), sim::Tracer::parse_mask("fault"));
   report_injected(world, FaultClass::kProtocol, 0);
   report_detected(world, FaultClass::kProtocol, 1);
   report_neutralized(world, FaultClass::kProtocol, 1);

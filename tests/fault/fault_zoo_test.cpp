@@ -188,14 +188,14 @@ TEST_F(NoiseTest, CorruptionStaysWithinTheBudget) {
   }
   world.run_until(5.0);
 
-  const double seen = world.stats().get("fault.noise.frames_seen");
-  const double corrupted = world.stats().get("fault.noise.corrupted");
+  const double seen = world.metrics().counter_value("fault.noise.frames_seen");
+  const double corrupted = world.metrics().counter_value("fault.noise.corrupted");
   ASSERT_GT(seen, 0.0);
   // The jammer wants to corrupt everything (rate 1.0) but the budget caps
   // it at a quarter of the frames it observed — the Hoza–Schulman fraction.
   EXPECT_GT(corrupted, 0.0);
   EXPECT_LE(corrupted, 0.25 * seen);
-  EXPECT_EQ(corrupted, world.stats().get("fault.kind.noise"));
+  EXPECT_EQ(corrupted, world.metrics().counter_value("fault.kind.noise"));
   // Most traffic survives a quarter-budget jammer.
   EXPECT_GT(received_, 0);
 
@@ -222,8 +222,8 @@ TEST_F(NoiseTest, NonPositiveBudgetMeansUnbounded) {
   // An unbudgeted rate-1.0 jammer corrupts every frame it sees: nothing is
   // delivered and the corrupted count tracks the seen count exactly.
   EXPECT_EQ(received_, 0);
-  EXPECT_EQ(world.stats().get("fault.noise.corrupted"),
-            world.stats().get("fault.noise.frames_seen"));
+  EXPECT_EQ(world.metrics().counter_value("fault.noise.corrupted"),
+            world.metrics().counter_value("fault.noise.frames_seen"));
   EXPECT_TRUE(CoverageLedger{world}.consistent());
 }
 
@@ -265,9 +265,9 @@ TEST_F(WormholeTest, TunnelCarriesFramesAcrossTheGap) {
   // The victim is 1150 m from the sender (range 250) yet the frame arrives:
   // mouth A overheard it and mouth B replayed it into the victim's radio.
   EXPECT_GE(received_, 1);
-  EXPECT_GT(world.stats().get("fault.wormhole.tunneled"), 0.0);
-  EXPECT_EQ(world.stats().get("fault.wormhole.tunneled"),
-            world.stats().get("fault.kind.wormhole"));
+  EXPECT_GT(world.metrics().counter_value("fault.wormhole.tunneled"), 0.0);
+  EXPECT_EQ(world.metrics().counter_value("fault.wormhole.tunneled"),
+            world.metrics().counter_value("fault.kind.wormhole"));
 
   // Undefended, every tunneled frame escapes — and the ledger says so
   // consistently rather than pretending coverage.
@@ -290,7 +290,7 @@ TEST_F(WormholeTest, GeoLeashRejectsAndDetectsEveryTunneledFrame) {
   // The replayed frame claims a transmitter 1150 m away; the leash knows
   // nothing that far can be audible and rejects the reception outright.
   EXPECT_EQ(received_, 0);
-  EXPECT_GT(world.stats().get("fault.wormhole.leash_rejected"), 0.0);
+  EXPECT_GT(world.metrics().counter_value("fault.wormhole.leash_rejected"), 0.0);
   const CoverageLedger ledger{world};
   const CoverageRow row = ledger.row(FaultClass::kProtocol);
   EXPECT_GT(row.injected, 0u);
@@ -311,7 +311,7 @@ TEST_F(WormholeTest, ControlOnlyTunnelIgnoresDataTraffic) {
   world.run_until(2.0);
 
   EXPECT_EQ(received_, 0);
-  EXPECT_EQ(world.stats().get("fault.wormhole.tunneled"), 0.0);
+  EXPECT_EQ(world.metrics().counter_value("fault.wormhole.tunneled"), 0.0);
   EXPECT_TRUE(CoverageLedger{world}.consistent());
 }
 
@@ -338,7 +338,7 @@ TEST_F(WormholeTest, TunnelIsDeterministicAcrossRuns) {
     world.run_until(3.0);
     const CoverageRow row = CoverageLedger{world}.row(FaultClass::kProtocol);
     return std::tuple<int, double, std::uint64_t>{
-        received, world.stats().get("fault.wormhole.tunneled"), row.injected};
+        received, world.metrics().counter_value("fault.wormhole.tunneled"), row.injected};
   };
   const auto a = run();
   const auto b = run();

@@ -839,8 +839,7 @@ TEST(CodecHostile, MutatedBodiesDecodeCleanlyOrNotAtAll) {
 /// tracer holds its sink.
 struct ParityRun {
   void attach(sim::World& world, bool codec) {
-    world.tracer().set_mask(sim::Tracer::parse_mask("all"));
-    world.tracer().add_sink(&sink);
+    world.tracer().add_sink(&sink, sim::Tracer::parse_mask("all"));
     if (!codec) return;
     attach_sim_codec(world);
     world.set_packet_transform([this, round_trip = world.packet_transform()](

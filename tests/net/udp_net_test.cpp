@@ -191,7 +191,7 @@ TEST(UdpHostTest, FaultLossDropsEveryDatagram) {
   for (int i = 0; i < 5; ++i) a.transport().send(data_packet(0, 1), 1);
   for (int i = 0; i < 20; ++i) pump(b, 0.01);
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(a.stats().get("net.udp.fault_dropped"), 5.0);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.fault_dropped"), 5.0);
 }
 
 TEST(UdpHostTest, FaultReorderSwapsAdjacentDatagrams) {
@@ -219,7 +219,7 @@ TEST(UdpHostTest, FaultReorderSwapsAdjacentDatagrams) {
   ASSERT_EQ(arrived.size(), 2u);
   EXPECT_EQ(arrived[0], 2u);
   EXPECT_EQ(arrived[1], 1u);
-  EXPECT_EQ(a.stats().get("net.udp.fault_reordered"), 1.0);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.fault_reordered"), 1.0);
 }
 
 TEST(UdpHostTest, UidNamespacesNeverCollide) {

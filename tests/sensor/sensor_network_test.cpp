@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "exp/runner.hpp"
 #include "sensor/base_station.hpp"
 #include "sensor/diffusion.hpp"
 #include "sensor/experiment.hpp"
@@ -64,7 +65,7 @@ TEST_F(DiffusionTest, NoGradientMeansDrop) {
   agents_[2]->send_to_sink({9});
   world_->run_until(3.0);
   EXPECT_TRUE(received_.empty());
-  EXPECT_GE(world_->stats().get("diff.no_gradient_drop"), 1.0);
+  EXPECT_GE(world_->metrics().counter_value("diff.no_gradient_drop"), 1.0);
 }
 
 TEST_F(DiffusionTest, TreeRepairsAfterParentCrash) {
@@ -141,15 +142,28 @@ TEST(SensorExperiment, InnerCircleDetectsFaster) {
 }
 
 TEST(SensorExperiment, InnerCircleLocalizesBetterUnderPositionFaults) {
-  SensorExperimentConfig config;
-  config.sim_time = 150.0;
-  config.fault = FaultType::kPositionError;
-  config.seed = 65;
-  const auto centralized = run_sensor_experiment_averaged(config, 3);
-  config.inner_circle = true;
-  config.level = 4;
-  const auto ic = run_sensor_experiment_averaged(config, 3);
-  EXPECT_LT(ic.localization_error_m, centralized.localization_error_m);
+  // Three seeded worlds, each run centralized and with IC L=4.
+  exp::Campaign campaign;
+  campaign.name = "localize_position_faults";
+  campaign.base_seed = 65;
+  campaign.runs = 3;
+  campaign.common_random_numbers = true;
+  campaign.grid.axis("config", {"centralized", "IC, L=4"});
+  campaign.job = [](const exp::JobContext& ctx) {
+    SensorExperimentConfig config;
+    config.sim_time = 150.0;
+    config.fault = FaultType::kPositionError;
+    config.seed = ctx.seed;
+    config.inner_circle = ctx.cell == 1;
+    config.level = 4;
+    return exp::JobOutputs{
+        {"localization_error_m", {run_sensor_experiment(config).localization_error_m}}};
+  };
+  const auto result = exp::run_campaign(
+      campaign, exp::RunnerOptions{}.with_threads(1).with_journal("").quiet());
+  ASSERT_EQ(result.series(0, "localization_error_m").count, 3u);
+  ASSERT_EQ(result.series(1, "localization_error_m").count, 3u);
+  EXPECT_LT(result.mean(1, "localization_error_m"), result.mean(0, "localization_error_m"));
 }
 
 TEST(SensorExperiment, NoTargetRunHasNoDetections) {

@@ -13,6 +13,7 @@
 #include "crypto/bignum.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
+#include "exp/runner.hpp"
 #include "sensor/experiment.hpp"
 #include "sim/world.hpp"
 
@@ -83,8 +84,7 @@ std::string fig7_trace_stream(std::uint64_t seed) {
   config.seed = seed;
   sim::CollectingTraceSink sink;
   config.world_hook = [&sink](sim::World& world) {
-    world.tracer().set_mask(0xffffffffu);
-    world.tracer().add_sink(&sink);
+    world.tracer().add_sink(&sink, sim::kAllTraceCategories);
   };
   aodv::run_blackhole_experiment(config);
   return serialize(sink.events());
@@ -204,19 +204,31 @@ TEST(WeakSignal, ShrinksDetectionRadiusButKeepsAccuracy) {
   const double r_weak = weak.distance_from_signal(weak.lambda - 1.0);
   EXPECT_NEAR(r_strong / r_weak, std::sqrt(2.0), 0.01);
 
-  sensor::SensorExperimentConfig config;
-  config.signal = weak;
-  config.sim_time = 150.0;
-  config.seed = 154;
-  config.num_faulty = 0;
-  config.inner_circle = true;
-  config.level = 3;
   // Single weak-signal targets in sparse patches can genuinely be missed
   // (§5.2's weak-signal effect), so assert over an ensemble: most targets
   // are still found, and found ones are localized accurately.
-  const auto r = sensor::run_sensor_experiment_averaged(config, 5);
-  EXPECT_LE(r.miss_prob, 0.3);
-  EXPECT_LT(r.localization_error_m, 15.0);
+  exp::Campaign campaign;
+  campaign.name = "weak_signal";
+  campaign.base_seed = 154;
+  campaign.runs = 5;
+  campaign.grid.axis("signal", {"weak"});
+  campaign.job = [&weak](const exp::JobContext& ctx) {
+    sensor::SensorExperimentConfig config;
+    config.signal = weak;
+    config.sim_time = 150.0;
+    config.seed = ctx.seed;
+    config.num_faulty = 0;
+    config.inner_circle = true;
+    config.level = 3;
+    const auto r = sensor::run_sensor_experiment(config);
+    return exp::JobOutputs{{"miss_prob", {r.miss_prob}},
+                           {"localization_error_m", {r.localization_error_m}}};
+  };
+  const auto result = exp::run_campaign(
+      campaign, exp::RunnerOptions{}.with_threads(1).with_journal("").quiet());
+  ASSERT_EQ(result.series(0, "miss_prob").count, 5u);
+  EXPECT_LE(result.mean(0, "miss_prob"), 0.3);
+  EXPECT_LT(result.mean(0, "localization_error_m"), 15.0);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ std::string temp_path(const char* name) { return testing::TempDir() + name; }
 
 TEST(FlightRecorder, RingKeepsNewestOldestFirst) {
   FlightRecorder recorder{4, temp_path("flight_ring")};
-  for (std::uint64_t i = 1; i <= 6; ++i) recorder.record(event_at(0.1 * i, i));
+  for (std::uint64_t i = 1; i <= 6; ++i) recorder.on_event(event_at(0.1 * i, i));
   EXPECT_EQ(recorder.total_emitted(), 6u);
   const std::vector<FlightRecord> ring = recorder.snapshot();
   ASSERT_EQ(ring.size(), 4u);  // capacity, not total
@@ -35,10 +35,10 @@ TEST(FlightRecorder, RingKeepsNewestOldestFirst) {
 
 TEST(FlightRecorder, DetailInterningIsStableAndCompact) {
   FlightRecorder recorder{8, temp_path("flight_intern")};
-  recorder.record(event_at(0.1, 1, "no_route"));
-  recorder.record(event_at(0.2, 2, "blackhole"));
-  recorder.record(event_at(0.3, 3, "no_route"));
-  recorder.record(event_at(0.4, 4, nullptr));
+  recorder.on_event(event_at(0.1, 1, "no_route"));
+  recorder.on_event(event_at(0.2, 2, "blackhole"));
+  recorder.on_event(event_at(0.3, 3, "no_route"));
+  recorder.on_event(event_at(0.4, 4, nullptr));
   const std::vector<FlightRecord> ring = recorder.snapshot();
   ASSERT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring[0].detail_id, ring[2].detail_id);       // same literal, same id
@@ -59,19 +59,17 @@ TEST(FlightRecorder, DetailInterningIsStableAndCompact) {
 TEST(FlightRecorder, SeesAllCategoriesButNeverLeaksIntoSinks) {
   Tracer tracer;
   CollectingTraceSink sink;
-  tracer.set_mask(Tracer::parse_mask("packet"));  // mac filtered from sinks
-  tracer.add_sink(&sink);
+  tracer.add_sink(&sink, Tracer::parse_mask("packet"));  // mac filtered from this sink
   tracer.enable_flight(16, temp_path("flight_mask"));
   ASSERT_NE(tracer.flight(), nullptr);
 
   tracer.emit({0.1, TraceType::kPacketTx, 0});
   tracer.emit({0.2, TraceType::kMacCollision, 0});
 
-  ASSERT_EQ(sink.events().size(), 1u);  // mask still honored by text sinks
+  ASSERT_EQ(sink.events().size(), 1u);  // the sink keeps its own categories
   EXPECT_EQ(sink.events()[0].type, TraceType::kPacketTx);
   EXPECT_EQ(tracer.flight()->total_emitted(), 2u);  // ring saw both
-  // Even with mask 0 and no sinks the ring keeps recording.
-  tracer.set_mask(0);
+  // The ring subscribes to every category, so mac stays enabled for it alone.
   EXPECT_TRUE(tracer.enabled(TraceCategory::kMac));
   tracer.emit({0.3, TraceType::kMacBackoff, 0});
   EXPECT_EQ(tracer.flight()->total_emitted(), 3u);
@@ -82,7 +80,7 @@ TEST(FlightRecorder, BinaryDumpRoundTrips) {
   const std::string path = temp_path("flight_roundtrip.icfr");
   FlightRecorder recorder{8, temp_path("flight_roundtrip")};
   for (std::uint64_t i = 1; i <= 12; ++i) {
-    recorder.record(event_at(0.25 * static_cast<double>(i), i, i % 2 ? "odd" : "even"));
+    recorder.on_event(event_at(0.25 * static_cast<double>(i), i, i % 2 ? "odd" : "even"));
   }
   ASSERT_TRUE(recorder.dump_binary(path));
 
@@ -104,7 +102,7 @@ TEST(FlightRecorder, BinaryDumpRoundTrips) {
 TEST(FlightRecorder, TruncatedDumpIsRejectedWithError) {
   const std::string path = temp_path("flight_truncated.icfr");
   FlightRecorder recorder{8, temp_path("flight_truncated")};
-  for (std::uint64_t i = 1; i <= 8; ++i) recorder.record(event_at(0.1 * i, i, "detail"));
+  for (std::uint64_t i = 1; i <= 8; ++i) recorder.on_event(event_at(0.1 * i, i, "detail"));
   ASSERT_TRUE(recorder.dump_binary(path));
 
   // Chop the file mid-records: the reader must fail with a message, not
@@ -134,7 +132,7 @@ TEST(FlightRecorder, BadMagicIsRejected) {
 TEST(FlightRecorder, PerfettoDumpIsWellFormedJson) {
   const std::string path = temp_path("flight_perfetto.json");
   FlightRecorder recorder{8, temp_path("flight_perfetto")};
-  recorder.record(event_at(0.5, 1, "no_route"));
+  recorder.on_event(event_at(0.5, 1, "no_route"));
   ASSERT_TRUE(recorder.dump_perfetto(path));
   std::ifstream in{path};
   ASSERT_TRUE(in.good());

@@ -105,8 +105,7 @@ std::string traced_protocol_run(std::uint64_t seed, bool spatial_grid) {
   World world{config};
   std::ostringstream out;
   JsonlTraceSink sink{out};
-  world.tracer().set_mask(Tracer::parse_mask("all"));
-  world.tracer().add_sink(&sink);
+  world.tracer().add_sink(&sink, Tracer::parse_mask("all"));
 
   Rng layout = world.fork_rng(0x9E1ull);
   std::vector<std::unique_ptr<aodv::Aodv>> agents;

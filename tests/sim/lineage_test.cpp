@@ -28,8 +28,7 @@ ChainRun run_chain(std::uint64_t seed, bool traced) {
   World world{config};
   CollectingTraceSink sink;
   if (traced) {
-    world.tracer().set_mask(Tracer::parse_mask("all"));
-    world.tracer().add_sink(&sink);
+    world.tracer().add_sink(&sink, Tracer::parse_mask("all"));
   }
   world.add_node(std::make_unique<StaticMobility>(Vec2{0, 0}));
   world.add_node(std::make_unique<StaticMobility>(Vec2{200, 0}));
@@ -46,7 +45,7 @@ ChainRun run_chain(std::uint64_t seed, bool traced) {
   world.run_until(5.0);
   ChainRun result;
   result.events = sink.events();
-  result.cbr_received = world.stats().get("cbr.received");
+  result.cbr_received = world.metrics().counter_value("cbr.received");
   return result;
 }
 

@@ -1,6 +1,5 @@
 // Metrics registry tests: Welford statistics against hand-computed values,
-// histogram percentile extraction, interning semantics, the Stats facade,
-// and RunReport serialization.
+// interning semantics, by-name updates, and RunReport serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +7,6 @@
 
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
-#include "sim/stats.hpp"
 
 namespace icc::sim {
 namespace {
@@ -57,53 +55,6 @@ TEST(SampleSeries, WelfordIsStableAroundLargeOffsets) {
   EXPECT_NEAR(s.variance(), 30.0, 1e-6);  // var{4,7,13,16} = 30
 }
 
-TEST(Histogram, PercentilesOnUniformData) {
-  // Observe 1..100 into decade buckets: p50 ~ 50, p90 ~ 90, p99 ~ 99.
-  Histogram h{{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}};
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_NEAR(h.p50(), 50.0, 1.0);
-  EXPECT_NEAR(h.p90(), 90.0, 1.0);
-  EXPECT_NEAR(h.p99(), 99.0, 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
-}
-
-TEST(Histogram, PercentileClampsToObservedRange) {
-  // One sample in a huge bucket: interpolation must not invent values
-  // outside [min, max].
-  Histogram h{{1000.0}};
-  h.observe(5.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 5.0);
-  EXPECT_DOUBLE_EQ(h.p99(), 5.0);
-}
-
-TEST(Histogram, EmptyHistogramPercentileIsNaN) {
-  Histogram h{{1.0, 2.0}};
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_TRUE(std::isnan(h.p50()));
-}
-
-TEST(Histogram, OverflowBucketCatchesOutOfRange) {
-  Histogram h{{1.0}};
-  h.observe(0.5);
-  h.observe(100.0);
-  ASSERT_EQ(h.buckets().size(), 2u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[1], 1u);  // overflow
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-TEST(Histogram, TimeBucketsAreSortedAndPositive) {
-  const auto bounds = Histogram::time_buckets();
-  ASSERT_GT(bounds.size(), 3u);
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_LT(bounds[i - 1], bounds[i]);
-  }
-  EXPECT_GT(bounds.front(), 0.0);
-}
-
 TEST(MetricsRegistry, InterningIsIdempotent) {
   MetricsRegistry reg;
   const MetricId a = reg.counter_id("x");
@@ -121,15 +72,12 @@ TEST(MetricsRegistry, HotPathUpdatesThroughIds) {
   MetricsRegistry reg;
   const MetricId c = reg.counter_id("pkts");
   const MetricId s = reg.series_id("lat");
-  const MetricId h = reg.histogram_id("delay", {1.0, 10.0});
   for (int i = 0; i < 5; ++i) reg.add(c);
   reg.add(c, 10.0);
   reg.sample(s, 1.0);
   reg.sample(s, 3.0);
-  reg.observe(h, 0.5);
   EXPECT_DOUBLE_EQ(reg.counter(c), 15.0);
   EXPECT_DOUBLE_EQ(reg.series(s).mean(), 2.0);
-  EXPECT_EQ(reg.histogram(h).count(), 1u);
 }
 
 TEST(MetricsRegistry, LookupByNameHandlesAbsentMetrics) {
@@ -140,29 +88,27 @@ TEST(MetricsRegistry, LookupByNameHandlesAbsentMetrics) {
 }
 
 TEST(MetricsRegistry, ScopedPerNodeNames) {
-  EXPECT_EQ(MetricsRegistry::scoped("energy_j", 12), "energy_j.n12");
+  EXPECT_EQ(MetricsRegistry::scoped("blackhole.data_dropped", 12), "blackhole.data_dropped.n12");
   MetricsRegistry reg;
-  const MetricId id = reg.node_gauge_id("energy_j", 3);
-  reg.set(id, 1.5);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("energy_j.n3"), 1.5);
+  reg.add(reg.node_counter_id("blackhole.data_dropped", 3), 1.5);
+  EXPECT_DOUBLE_EQ(reg.counter_value("blackhole.data_dropped.n3"), 1.5);
 }
 
-TEST(StatsFacade, StringApiRidesOnRegistry) {
-  Stats stats;
-  stats.add("a");
-  stats.add("a", 4.0);
-  stats.sample("s", 2.0);
-  stats.sample("s", 4.0);
-  EXPECT_DOUBLE_EQ(stats.get("a"), 5.0);
-  EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(stats.samples("s").mean(), 3.0);
-  EXPECT_TRUE(stats.samples("missing").empty());
+TEST(MetricsRegistry, NamedUpdatesShareStorageWithIds) {
+  MetricsRegistry reg;
+  reg.add_named("a");
+  reg.add_named("a", 4.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value("a"), 5.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value("missing"), 0.0);
   // Interned access sees the same storage.
-  const MetricId id = stats.registry().counter_id("a");
-  stats.registry().add(id, 1.0);
-  EXPECT_DOUBLE_EQ(stats.get("a"), 6.0);
-  const auto counters = stats.counters();
-  EXPECT_DOUBLE_EQ(counters.at("a"), 6.0);
+  const MetricId id = reg.counter_id("a");
+  reg.add(id, 1.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value("a"), 6.0);
+  reg.add_named("a");
+  EXPECT_DOUBLE_EQ(reg.counter(id), 7.0);
+  reg.sample(reg.series_id("s"), 2.0);
+  reg.sample(reg.series_id("s"), 4.0);
+  EXPECT_DOUBLE_EQ(reg.series_by_name("s").mean(), 3.0);
 }
 
 TEST(RunReport, JsonCarriesSeriesStatistics) {
@@ -203,8 +149,7 @@ TEST(RunReport, CsvHasOneRowPerMetric) {
   std::ostringstream out;
   report.write_csv(out);
   const std::string csv = out.str();
-  EXPECT_NE(csv.find("kind,name,count,value,mean,stddev,min,max,p50,p90,p99"),
-            std::string::npos);
+  EXPECT_NE(csv.find("kind,name,count,value,mean,stddev,min,max\n"), std::string::npos);
   EXPECT_NE(csv.find("counter,sent,"), std::string::npos);
   EXPECT_NE(csv.find("series,lat,1,"), std::string::npos);
 }

@@ -37,14 +37,19 @@ TEST(Tracer, ParseMask) {
                 (1u << static_cast<unsigned>(TraceCategory::kVoting)));
   EXPECT_EQ(Tracer::parse_mask("all"),
             (1u << static_cast<unsigned>(TraceCategory::kCount)) - 1u);
-  EXPECT_EQ(Tracer::parse_mask("bogus,unknown"), 0u);
+}
+
+TEST(TracerDeathTest, ParseMaskRejectsUnknownCategory) {
+  // A misspelt category must not silently trace nothing.
+  EXPECT_DEATH(Tracer::parse_mask("packet,pakcet"),
+               "ICC_TRACE='packet,pakcet' is not a valid category list \\(packet,mac,");
+  EXPECT_DEATH(Tracer::parse_mask("packet,"), "ICC_TRACE");
 }
 
 TEST(Tracer, SubscriberReceivesTypedEvents) {
   Tracer tracer;
   CollectingTraceSink sink;
-  tracer.set_mask(Tracer::parse_mask("all"));
-  tracer.add_sink(&sink);
+  tracer.add_sink(&sink, Tracer::parse_mask("all"));
 
   tracer.emit({1.5, TraceType::kPacketTx, 3, 7, 42, 512, 0.001, nullptr});
   tracer.emit({2.0, TraceType::kWatchdogAccuse, 1, 9, 0, 0, 2.0, nullptr});
@@ -66,8 +71,7 @@ TEST(Tracer, SubscriberReceivesTypedEvents) {
 TEST(Tracer, MaskFiltersCategories) {
   Tracer tracer;
   CollectingTraceSink sink;
-  tracer.set_mask(Tracer::parse_mask("packet"));
-  tracer.add_sink(&sink);
+  tracer.add_sink(&sink, Tracer::parse_mask("packet"));
 
   tracer.emit({0.0, TraceType::kPacketTx, 0});
   tracer.emit({0.0, TraceType::kMacCollision, 0});  // mac: filtered out
@@ -80,19 +84,35 @@ TEST(Tracer, MaskFiltersCategories) {
 }
 
 TEST(Tracer, DisabledWithoutSinksEvenIfMaskSet) {
+  // Categories belong to the sinks: with none subscribed nothing is enabled.
   Tracer tracer;
-  tracer.set_mask(Tracer::parse_mask("all"));
   EXPECT_FALSE(tracer.enabled(TraceCategory::kPacket));
   // emit() is a no-op; nothing to observe but it must not crash.
   tracer.emit({0.0, TraceType::kPacketTx, 0});
+}
+
+TEST(Tracer, EachSinkKeepsItsOwnCategories) {
+  // A voting sink beside an all-category sink (the ICC_TRACE_PERFETTO
+  // export, the flight recorder) still sees voting events only.
+  Tracer tracer;
+  CollectingTraceSink voting;
+  CollectingTraceSink all;
+  tracer.add_sink(&voting, Tracer::parse_mask("voting"));
+  tracer.add_sink(&all, Tracer::parse_mask("all"));
+  tracer.emit({0.0, TraceType::kPacketTx, 0});
+  tracer.emit({0.1, TraceType::kVoteVerdict, 0});
+  tracer.emit({0.2, TraceType::kMacBackoff, 0});
+  ASSERT_EQ(voting.events().size(), 1u);
+  EXPECT_EQ(voting.events()[0].type, TraceType::kVoteVerdict);
+  EXPECT_EQ(all.events().size(), 3u);
+  EXPECT_TRUE(tracer.enabled(TraceCategory::kMac));  // the union of the masks
 }
 
 TEST(Tracer, LineSinkFormatsNs2Style) {
   std::ostringstream out;
   LineTraceSink sink{out};
   Tracer tracer;
-  tracer.set_mask(Tracer::parse_mask("all"));
-  tracer.add_sink(&sink);
+  tracer.add_sink(&sink, Tracer::parse_mask("all"));
   tracer.emit({12.000345678, TraceType::kPacketTx, 3, 7, 42, 512, 0.0, nullptr});
   EXPECT_EQ(out.str(), "s 12.000345678 _3_ packet packet_tx peer=7 uid=42 size=512\n");
 }
@@ -101,8 +121,7 @@ TEST(Tracer, JsonlSinkEmitsOneObjectPerLine) {
   std::ostringstream out;
   JsonlTraceSink sink{out};
   Tracer tracer;
-  tracer.set_mask(Tracer::parse_mask("all"));
-  tracer.add_sink(&sink);
+  tracer.add_sink(&sink, Tracer::parse_mask("all"));
   tracer.emit({0.5, TraceType::kPacketDrop, 2, 4, 9, 100, 0.0, "no_route"});
   EXPECT_EQ(out.str(),
             "{\"t\":0.500000000,\"type\":\"packet_drop\",\"cat\":\"packet\",\"node\":2,"
@@ -116,8 +135,7 @@ std::string traced_chain_run(std::uint64_t seed) {
   World world{config};
   std::ostringstream out;
   JsonlTraceSink sink{out};
-  world.tracer().set_mask(Tracer::parse_mask("all"));
-  world.tracer().add_sink(&sink);
+  world.tracer().add_sink(&sink, Tracer::parse_mask("all"));
 
   world.add_node(std::make_unique<StaticMobility>(Vec2{0, 0}));
   world.add_node(std::make_unique<StaticMobility>(Vec2{200, 0}));
@@ -157,7 +175,7 @@ TEST(TraceIntegration, InstrumentationIsQuietWhenDisabled) {
   World world{config};
   CollectingTraceSink sink;
   // Sink attached but mask 0: nothing may arrive.
-  world.tracer().add_sink(&sink);
+  world.tracer().add_sink(&sink, 0);
   world.add_node(std::make_unique<StaticMobility>(Vec2{0, 0}));
   world.add_node(std::make_unique<StaticMobility>(Vec2{100, 0}));
   std::vector<std::unique_ptr<aodv::Aodv>> agents;
@@ -171,7 +189,7 @@ TEST(TraceIntegration, InstrumentationIsQuietWhenDisabled) {
   traffic::CbrConnection flow{*agents[0], 1, cbr};
   world.run_until(2.0);
   EXPECT_TRUE(sink.events().empty());
-  EXPECT_GT(world.stats().get("cbr.received"), 0.0);  // traffic did flow
+  EXPECT_GT(world.metrics().counter_value("cbr.received"), 0.0);  // traffic did flow
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(TracqDiff, LengthMismatchDivergesAtTheTail) {
 TEST(TracqFlight, LoadsBinaryDumpAndRejectsTruncation) {
   const std::string path = temp_path("tracq_flight.icfr");
   sim::FlightRecorder recorder{8, temp_path("tracq_flight")};
-  recorder.record({0.5, sim::TraceType::kPacketTx, 3, 7, 42, 512, 0.0, "hop", 42, 17});
+  recorder.on_event({0.5, sim::TraceType::kPacketTx, 3, 7, 42, 512, 0.0, "hop", 42, 17});
   ASSERT_TRUE(recorder.dump_binary(path));
 
   std::string error;

@@ -3,33 +3,11 @@
 
 #include <memory>
 
-#include "sim/stats.hpp"
 #include "sim/world.hpp"
 #include "traffic/cbr.hpp"
 
 namespace icc::traffic {
 namespace {
-
-TEST(Stats, CountersAccumulate) {
-  sim::Stats stats;
-  stats.add("x");
-  stats.add("x", 2.5);
-  EXPECT_DOUBLE_EQ(stats.get("x"), 3.5);
-  EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-}
-
-TEST(Stats, SampleSeriesTracksMeanMinMax) {
-  sim::Stats stats;
-  stats.sample("lat", 1.0);
-  stats.sample("lat", 3.0);
-  stats.sample("lat", 2.0);
-  const auto& s = stats.samples("lat");
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_EQ(stats.samples("none").count, 0u);
-}
 
 class CbrTest : public ::testing::Test {
  protected:
@@ -59,9 +37,10 @@ TEST_F(CbrTest, RateAndWindowRespected) {
   world_->run_until(20.0);
   // 4 pkt/s over a 10 s window.
   EXPECT_NEAR(static_cast<double>(conn.sent()), 40.0, 1.5);
-  EXPECT_DOUBLE_EQ(world_->stats().get("cbr.sent"), static_cast<double>(conn.sent()));
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("cbr.sent"), static_cast<double>(conn.sent()));
   // Everything delivered over the clean 2-hop path.
-  EXPECT_NEAR(world_->stats().get("cbr.received"), static_cast<double>(conn.sent()), 2.0);
+  EXPECT_NEAR(world_->metrics().counter_value("cbr.received"), static_cast<double>(conn.sent()),
+              2.0);
 }
 
 TEST_F(CbrTest, LatencySampledAtSink) {
@@ -70,7 +49,7 @@ TEST_F(CbrTest, LatencySampledAtSink) {
   params.stop = 5.0;
   CbrConnection conn{*agents_[0], 2, params};
   world_->run_until(10.0);
-  const auto& lat = world_->stats().samples("cbr.latency");
+  const auto& lat = world_->metrics().series_by_name("cbr.latency");
   ASSERT_GT(lat.count, 0u);
   EXPECT_GT(lat.mean(), 0.0);
   EXPECT_LT(lat.mean(), 1.5);  // first packet pays route discovery
@@ -86,7 +65,7 @@ TEST_F(CbrTest, MultipleConnectionsShareTheStack) {
   world_->run_until(12.0);
   EXPECT_GT(a.sent(), 15u);
   EXPECT_GT(b.sent(), 15u);
-  EXPECT_NEAR(world_->stats().get("cbr.received"),
+  EXPECT_NEAR(world_->metrics().counter_value("cbr.received"),
               static_cast<double>(a.sent() + b.sent()), 4.0);
 }
 

@@ -10,21 +10,22 @@
 // CBR flow list) deterministically from the run seed, so no coordination
 // channel is needed beyond the sockets themselves.
 //
-// Configuration, argv first, ICC_NET_* env as fallback:
-//   --id N          (ICC_NET_ID)        this node's id, 0-based     [required]
-//   --num-nodes N   (ICC_NET_NODES)     testnet size                [5]
-//   --base-port P   (ICC_NET_BASE_PORT) node i binds 127.0.0.1:P+i  [47000]
-//   --seed S        (ICC_NET_SEED)      shared run seed             [1]
-//   --epoch-us E    (ICC_NET_EPOCH_US)  shared unix-us run epoch    [now]
-//   --duration S    (ICC_NET_DURATION)  run length, seconds         [10]
-//   --attackers M   (ICC_NET_ATTACKERS) nodes 0..M-1 are black holes [1]
-//   --flows K       (ICC_NET_FLOWS)     CBR flows between correct nodes [2]
-//   --defense D     (ICC_NET_DEFENSE)   icc | watchdog | none       [icc]
-//   --report PATH   (ICC_NET_REPORT)    RunReport JSON path         [stdout]
+// Configuration, by flag only; a malformed value exits 2 naming the flag:
+//   --id N          this node's id, 0-based          [required]
+//   --num-nodes N   testnet size                     [5]
+//   --base-port P   node i binds 127.0.0.1:P+i       [47000]
+//   --seed S        shared run seed                  [1]
+//   --epoch-us E    shared unix-us run epoch         [now]
+//   --duration S    run length, seconds              [10]
+//   --attackers M   nodes 0..M-1 are black holes     [1]
+//   --flows K       CBR flows between correct nodes  [2]
+//   --defense D     icc | watchdog | none            [icc]
+//   --report PATH   RunReport JSON path              [stdout]
 //
 // SIGINT/SIGTERM stop the run loop at the next iteration; the RunReport,
 // any trace sinks, and the flight recorder are still flushed, and the
 // process exits 0 — a stopped node is a normal outcome, not a crash.
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -42,7 +43,6 @@
 #include "core/framework.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
-#include "exp/env.hpp"
 #include "fault/ledger.hpp"
 #include "fault/plan.hpp"
 #include "net/udp.hpp"
@@ -87,19 +87,21 @@ struct Options {
   std::exit(2);
 }
 
+/// Parses the whole of `text` as a T; anything else (an empty value, a
+/// trailing "x", an out-of-range number) is a usage error naming `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) {
+    usage_error((flag + " needs a number, got '" + text + "'").c_str());
+  }
+  return value;
+}
+
 Options parse_options(int argc, char** argv) {
   Options opt;
-  opt.id = icc::exp::env_int("ICC_NET_ID", -1);
-  opt.num_nodes = icc::exp::env_int("ICC_NET_NODES", opt.num_nodes);
-  opt.base_port = icc::exp::env_int("ICC_NET_BASE_PORT", opt.base_port);
-  opt.seed = icc::exp::env_int("ICC_NET_SEED", static_cast<int>(opt.seed));
-  opt.epoch_us = static_cast<long long>(icc::exp::env_double("ICC_NET_EPOCH_US", 0.0));
-  opt.duration = icc::exp::env_double("ICC_NET_DURATION", opt.duration);
-  opt.attackers = icc::exp::env_int("ICC_NET_ATTACKERS", opt.attackers);
-  opt.flows = icc::exp::env_int("ICC_NET_FLOWS", opt.flows);
-  opt.defense = icc::exp::env_string("ICC_NET_DEFENSE", opt.defense.c_str());
-  opt.report = icc::exp::env_string("ICC_NET_REPORT", "");
-
   const auto need_value = [&](int i) -> const char* {
     if (i + 1 >= argc) usage_error("flag needs a value");
     return argv[i + 1];
@@ -107,21 +109,21 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--id") {
-      opt.id = std::stoi(need_value(i++));
+      opt.id = parse_number<int>(flag, need_value(i++));
     } else if (flag == "--num-nodes") {
-      opt.num_nodes = std::stoi(need_value(i++));
+      opt.num_nodes = parse_number<int>(flag, need_value(i++));
     } else if (flag == "--base-port") {
-      opt.base_port = std::stoi(need_value(i++));
+      opt.base_port = parse_number<int>(flag, need_value(i++));
     } else if (flag == "--seed") {
-      opt.seed = std::stoll(need_value(i++));
+      opt.seed = parse_number<long long>(flag, need_value(i++));
     } else if (flag == "--epoch-us") {
-      opt.epoch_us = std::stoll(need_value(i++));
+      opt.epoch_us = parse_number<long long>(flag, need_value(i++));
     } else if (flag == "--duration") {
-      opt.duration = std::stod(need_value(i++));
+      opt.duration = parse_number<double>(flag, need_value(i++));
     } else if (flag == "--attackers") {
-      opt.attackers = std::stoi(need_value(i++));
+      opt.attackers = parse_number<int>(flag, need_value(i++));
     } else if (flag == "--flows") {
-      opt.flows = std::stoi(need_value(i++));
+      opt.flows = parse_number<int>(flag, need_value(i++));
     } else if (flag == "--defense") {
       opt.defense = need_value(i++);
     } else if (flag == "--report") {
@@ -130,7 +132,7 @@ Options parse_options(int argc, char** argv) {
       usage_error("unknown flag");
     }
   }
-  if (opt.id < 0) usage_error("--id (or ICC_NET_ID) is required");
+  if (opt.id < 0) usage_error("--id is required");
   if (opt.id >= opt.num_nodes) usage_error("--id must be < --num-nodes");
   if (opt.attackers >= opt.num_nodes) usage_error("--attackers must leave correct nodes");
   if (opt.defense != "icc" && opt.defense != "watchdog" && opt.defense != "none") {
