@@ -233,13 +233,13 @@ void InjectionEngine::replay_at(const sim::Frame& frame, sim::NodeId near_end,
   world_.nodes_within(mouth.position(), range, wormhole_scratch_);
   const double duration = mouth.mac().frame_airtime(frame.packet.size_bytes);
   bool leash_booked = false;
-  for (const sim::NodeId id : wormhole_scratch_) {
+  world_.medium().deliver(frame, duration, wormhole_scratch_, [&](sim::NodeId id) {
     // The colluders and the original transmitter never hear the replay —
     // the tunnel exists to fool everyone else.
-    if (id == far_end || id == near_end || id == frame.tx) continue;
-    sim::Node& receiver = world_.node(id);
-    if (receiver.down()) continue;
-    if (options_.geo_leash && sim::distance(receiver.position(), origin) > range) {
+    if (id == far_end || id == near_end || id == frame.tx || world_.node(id).down()) {
+      return sim::DeliveryVerdict::kDrop;
+    }
+    if (options_.geo_leash && sim::distance(world_.node(id).position(), origin) > range) {
       // Geographic packet leash (Hu–Perrig–Johnson): the frame claims a
       // transmitter too far away to be physically audible, so the receiver
       // rejects it. Booked as one detection per tunneled frame, matching
@@ -249,10 +249,10 @@ void InjectionEngine::replay_at(const sim::Frame& frame, sim::NodeId near_end,
         leash_booked = true;
         report_detected(world_, FaultClass::kProtocol, near_end, 0, inj_span);
       }
-      continue;
+      return sim::DeliveryVerdict::kDrop;
     }
-    receiver.mac().begin_reception(frame, duration);
-  }
+    return sim::DeliveryVerdict::kDeliver;
+  });
 }
 
 void InjectionEngine::apply_down(std::size_t spec) {

@@ -74,8 +74,8 @@ void Mac::transmit_current() {
     if (r.end > now && !r.corrupted) {
       r.corrupted = true;
       world_.medium().count_collision();
-      world_.tracer().emit({now, TraceType::kMacCollision, node_.id(), r.frame.tx,
-                            r.frame.frame_id, 0, 0.0, "self_tx"});
+      world_.tracer().emit({now, TraceType::kMacCollision, node_.id(), r.tx, r.frame_id, 0,
+                            0.0, "self_tx"});
     }
   }
 
@@ -128,20 +128,21 @@ void Mac::finish_current(bool /*success*/) {
   kick();
 }
 
-void Mac::begin_reception(const Frame& frame, double duration) {
-  if (node_.down()) return;
+bool Mac::begin_reception(const Frame& frame, double duration, bool corrupted) {
+  if (node_.down()) return false;
   const Time now = world_.sched().now();
   ICC_ASSERT(duration > 0.0, "a frame on the air must have positive airtime");
 #if ICC_CHECKED_ENABLED
-  // Reception-leak detection: every entry of receptions_ is erased by its
-  // completion event at `end`. An entry strictly in the past means that
-  // event was lost or mismatched — the frame neither arrived nor collided,
-  // which would silently violate packet conservation.
+  // Reception-leak detection: the medium calls end_reception at `end` for
+  // every reception this function reported as owed, and that call erases
+  // the entry. An entry strictly in the past means an end was lost — the
+  // frame neither arrived nor collided, which would silently violate packet
+  // conservation.
   for (const Reception& r : receptions_) {
-    ICC_CHECK(r.end >= now, "reception leak: a frame's completion event never fired");
+    ICC_CHECK(r.end >= now, "reception leak: a frame's reception never ended");
   }
 #endif
-  if (transmitting(now)) return;  // half-duplex: deaf while transmitting
+  if (transmitting(now)) return false;  // half-duplex: deaf while transmitting
 
   node_.energy().charge_rx(duration);
 
@@ -151,8 +152,8 @@ void Mac::begin_reception(const Frame& frame, double duration) {
       if (!r.corrupted) {
         r.corrupted = true;
         world_.medium().count_collision();
-        world_.tracer().emit({now, TraceType::kMacCollision, node_.id(), r.frame.tx,
-                              r.frame.frame_id, 0, 0.0, "overlap"});
+        world_.tracer().emit({now, TraceType::kMacCollision, node_.id(), r.tx, r.frame_id, 0,
+                              0.0, "overlap"});
       }
       collided = true;
     }
@@ -165,24 +166,24 @@ void Mac::begin_reception(const Frame& frame, double duration) {
 
   // Injected corruption kills the frame like a collision does, but is not a
   // collision: the medium's collision counter stays untouched.
-  receptions_.push_back(Reception{frame, now + duration, collided || frame.corrupted});
-  const NodeId tx = frame.tx;
-  const std::uint64_t fid = frame.frame_id;
-  world_.sched().schedule_in(duration, [this, tx, fid] {
-    auto it = std::find_if(receptions_.begin(), receptions_.end(),
-                           [&](const Reception& r) {
-                             return r.frame.tx == tx && r.frame.frame_id == fid;
-                           });
-    if (it == receptions_.end()) return;
-    Reception rx = std::move(*it);
-    receptions_.erase(it);
-    // A transmission we started mid-reception marked it corrupted already.
-    if (!rx.corrupted) handle_frame_arrival(rx);
-  }, EventTag::kMac);
+  receptions_.push_back(Reception{frame.tx, frame.frame_id, now + duration,
+                                  collided || corrupted || frame.corrupted});
+  return true;
 }
 
-void Mac::handle_frame_arrival(Reception& rx) {
-  const Frame& frame = rx.frame;
+void Mac::end_reception(const Frame& frame) {
+  const auto it = std::find_if(receptions_.begin(), receptions_.end(), [&](const Reception& r) {
+    return r.tx == frame.tx && r.frame_id == frame.frame_id;
+  });
+  ICC_CHECK(it != receptions_.end(), "every owed reception must end exactly once");
+  if (it == receptions_.end()) return;
+  const bool corrupted = it->corrupted;
+  receptions_.erase(it);
+  // A transmission we started mid-reception marked it corrupted already.
+  if (!corrupted) handle_frame_arrival(frame);
+}
+
+void Mac::handle_frame_arrival(const Frame& frame) {
   if (!frame.is_ack && (frame.rx == node_.id() || frame.rx == kBroadcast)) {
     world_.tracer().emit({world_.sched().now(), TraceType::kPacketRx, node_.id(), frame.tx,
                           frame.packet.uid, frame.packet.size_bytes, 0.0, nullptr,
@@ -228,7 +229,7 @@ void Mac::send_ack(const Frame& data_frame) {
     tx_until_ = now + duration;
     node_.energy().charge_tx(duration);
     world_.medium().begin_transmission(ack, duration);
-  });
+  }, EventTag::kMac);
 }
 
 }  // namespace icc::sim

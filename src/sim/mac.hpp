@@ -46,8 +46,15 @@ class Mac {
   /// (kBroadcast for one-hop broadcast).
   void enqueue(Packet packet, NodeId next_hop);
 
-  /// Medium -> MAC: a frame starts arriving; `duration` is its airtime.
-  void begin_reception(const Frame& frame, double duration);
+  /// Medium -> MAC: a frame starts arriving; `duration` is its airtime and
+  /// `corrupted` marks payload damage injected on the way (CRC failure at
+  /// the end). Returns whether an end_reception is owed at now + duration:
+  /// false when the node is down or transmitting.
+  [[nodiscard]] bool begin_reception(const Frame& frame, double duration, bool corrupted);
+
+  /// Medium -> MAC: the reception begin_reception recorded for `frame` ends
+  /// now; hands the frame up unless it was corrupted on the way.
+  void end_reception(const Frame& frame);
 
   void set_send_failed_handler(SendFailedHandler h) { on_send_failed_ = std::move(h); }
 
@@ -63,8 +70,9 @@ class Mac {
 
  private:
   struct Reception {
-    Frame frame;
-    Time end;
+    NodeId tx{kNoNode};
+    std::uint64_t frame_id{0};
+    Time end{0.0};
     bool corrupted{false};
   };
 
@@ -74,7 +82,7 @@ class Mac {
   void transmit_current();
   void finish_current(bool success);
   void on_ack_timeout();
-  void handle_frame_arrival(Reception& rx);
+  void handle_frame_arrival(const Frame& frame);
   void send_ack(const Frame& data_frame);
 
   World& world_;

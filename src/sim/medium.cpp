@@ -37,29 +37,58 @@ void Medium::begin_transmission(const Frame& frame, double duration) {
   std::erase_if(shard, [now](const AirEntry& e) { return e.end <= now; });
   shard.push_back(AirEntry{now + duration, tx_pos});
   world_.nodes_within(tx_pos, tx_range_, rx_scratch_);
-  for (const NodeId i : rx_scratch_) {
-    if (i == frame.tx) continue;
-    Node& receiver = world_.node(i);
-    if (receiver.down()) continue;
-    if (delivery_filter_) {
-      switch (delivery_filter_(frame, i, now)) {
-        case DeliveryVerdict::kDrop:
-          world_.tracer().emit({now, TraceType::kPacketDrop, i, frame.tx, frame.packet.uid,
-                                frame.packet.size_bytes, 0.0, "channel_fault",
-                                frame.packet.uid, frame.packet.parent});
-          continue;
-        case DeliveryVerdict::kCorrupt: {
-          Frame damaged = frame;
-          damaged.corrupted = true;
-          receiver.mac().begin_reception(damaged, duration);
-          continue;
-        }
-        case DeliveryVerdict::kDeliver:
-          break;
-      }
+  deliver(frame, duration, rx_scratch_, [&](NodeId rx) {
+    if (rx == frame.tx || world_.node(rx).down()) return DeliveryVerdict::kDrop;
+    if (!delivery_filter_) return DeliveryVerdict::kDeliver;
+    const DeliveryVerdict verdict = delivery_filter_(frame, rx, now);
+    if (verdict == DeliveryVerdict::kDrop) {
+      world_.tracer().emit({now, TraceType::kPacketDrop, rx, frame.tx, frame.packet.uid,
+                            frame.packet.size_bytes, 0.0, "channel_fault", frame.packet.uid,
+                            frame.packet.parent});
     }
-    receiver.mac().begin_reception(frame, duration);
+    return verdict;
+  });
+}
+
+std::uint32_t Medium::open_delivery() {
+  if (free_deliveries_.empty()) {
+    deliveries_.emplace_back();
+    return static_cast<std::uint32_t>(deliveries_.size() - 1);
   }
+  const std::uint32_t slot = free_deliveries_.back();
+  free_deliveries_.pop_back();
+  return slot;
+}
+
+void Medium::start_reception(std::uint32_t slot, const Frame& frame, NodeId rx,
+                             double duration, bool corrupted) {
+  if (world_.node(rx).mac().begin_reception(frame, duration, corrupted)) {
+    deliveries_[slot].owed.push_back(rx);
+  }
+}
+
+void Medium::close_delivery(std::uint32_t slot, const Frame& frame, double duration) {
+  Delivery& delivery = deliveries_[slot];
+  if (delivery.owed.empty()) {
+    free_deliveries_.push_back(slot);
+    return;
+  }
+  delivery.frame = frame;
+  // No propagation delay: every receiver finishes decoding at one instant.
+  // The tx-done event a MAC schedules after this gets a later sequence
+  // number, so every reception ends before its transmitter moves on.
+  world_.sched().schedule_in(duration, [this, slot] { end_receptions(slot); }, EventTag::kMac);
+}
+
+void Medium::end_receptions(std::uint32_t slot) {
+  // A receiver's handler may open new deliveries and grow the slab, so the
+  // frame and the owed list leave the slot before any handler runs.
+  const Frame frame = std::move(deliveries_[slot].frame);
+  std::vector<NodeId> owed = std::move(deliveries_[slot].owed);
+  for (const NodeId rx : owed) world_.node(rx).mac().end_reception(frame);
+  owed.clear();
+  deliveries_[slot].owed = std::move(owed);  // keep the capacity for the next frame
+  free_deliveries_.push_back(slot);
 }
 
 bool Medium::busy_at(NodeId listener) const {

@@ -20,9 +20,9 @@ namespace icc::sim {
 class World;
 
 /// Per-receiver fate of a frame, decided by the delivery filter (fault
-/// injection). kDrop models the frame never reaching this receiver's radio;
-/// kCorrupt delivers it with the corrupted flag set (CRC failure at the end
-/// of the reception).
+/// injection) and by the fate callback of Medium::deliver. kDrop models the
+/// frame never reaching this receiver's radio; kCorrupt delivers it with the
+/// corrupted flag set (CRC failure at the end of the reception).
 enum class DeliveryVerdict : std::uint8_t { kDeliver, kDrop, kCorrupt };
 
 class Medium {
@@ -30,10 +30,32 @@ class Medium {
   /// The air table covers the `width` x `height` area in square shards of
   /// side cs_range / 3; positions outside the area fall into edge shards.
   Medium(World& world, double tx_range, double cs_range, double width, double height);
+  /// Scheduled reception ends hold `this`.
+  Medium(const Medium&) = delete;
+  Medium& operator=(const Medium&) = delete;
 
   /// Put `frame` on the air for `duration` seconds starting now. Delivers
   /// (or collides) the frame at every node currently inside `tx_range`.
   void begin_transmission(const Frame& frame, double duration);
+
+  /// The one reception path, shared by begin_transmission and the wormhole
+  /// replay: starts `frame`'s reception, `duration` long, at each of
+  /// `receivers` (ascending NodeId) whose `fate(rx)` is not kDrop, then ends
+  /// every owed reception in one kMac event at now + duration, in the same
+  /// order. `fate` runs interleaved with the receptions, so its side effects
+  /// (traces, fault bookkeeping) keep their place among theirs.
+  template <typename Fate>
+  void deliver(const Frame& frame, double duration, const std::vector<NodeId>& receivers,
+               Fate&& fate) {
+    const std::uint32_t slot = open_delivery();
+    for (const NodeId rx : receivers) {
+      const DeliveryVerdict verdict = fate(rx);
+      if (verdict != DeliveryVerdict::kDrop) {
+        start_reception(slot, frame, rx, duration, verdict == DeliveryVerdict::kCorrupt);
+      }
+    }
+    close_delivery(slot, frame, duration);
+  }
 
   /// Carrier sense at `listener`: is any transmission within cs_range of it
   /// still in progress (end > now and squared distance <= cs_range^2)?
@@ -68,6 +90,21 @@ class Medium {
     Vec2 pos;
   };
 
+  /// One frame on the air with receptions still to end: the frame is copied
+  /// once for all of its receivers. Slots are reused, and so is the owed
+  /// list's capacity, so once the slab is warm a frame allocates nothing.
+  struct Delivery {
+    Frame frame;
+    std::vector<NodeId> owed;  ///< receivers whose end_reception is owed, in order
+  };
+
+  [[nodiscard]] std::uint32_t open_delivery();
+  void start_reception(std::uint32_t slot, const Frame& frame, NodeId rx, double duration,
+                       bool corrupted);
+  /// Schedules the slot's end event, or frees the slot when no reception is owed.
+  void close_delivery(std::uint32_t slot, const Frame& frame, double duration);
+  void end_receptions(std::uint32_t slot);
+
   [[nodiscard]] std::uint32_t shard_col(double x) const noexcept;
   [[nodiscard]] std::uint32_t shard_row(double y) const noexcept;
 
@@ -87,6 +124,8 @@ class Medium {
   /// Receiver candidates of the frame being transmitted; a member so the
   /// per-frame hot path never allocates in steady state.
   std::vector<NodeId> rx_scratch_;
+  std::vector<Delivery> deliveries_;
+  std::vector<std::uint32_t> free_deliveries_;
 };
 
 }  // namespace icc::sim

@@ -10,12 +10,15 @@
 //   SampleSeries  streaming mean / min / max / Welford variance
 //                 ("cbr.latency", per-run throughput across a campaign)
 //
-// Cold sites update by name (add_named), per-packet sites by an id interned
-// once at construction.
+// Per-packet sites update by an id interned once at construction; other
+// sites update by name (add_named). A by-name update of an existing metric
+// is one hash of the name's bytes and no allocation: the indexes look a
+// std::string_view up directly and copy the name only on first use.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -71,9 +74,9 @@ class MetricsRegistry {
  public:
   // ----------------------------------------------------- interning (cold)
   /// Intern lookups are idempotent: the same name always yields the same id.
-  MetricId counter_id(const std::string& name);
-  MetricId gauge_id(const std::string& name);
-  MetricId series_id(const std::string& name);
+  MetricId counter_id(std::string_view name);
+  MetricId gauge_id(std::string_view name);
+  MetricId series_id(std::string_view name);
 
   /// Per-node scoped name, e.g. scoped("blackhole.data_dropped", 12) ==
   /// "blackhole.data_dropped.n12".
@@ -87,8 +90,8 @@ class MetricsRegistry {
   void set(MetricId id, double v) { gauges_[id].value = v; }
   void sample(MetricId id, double v) { series_[id].value.add(v); }
 
-  /// By-name update for cold call sites: interns on first use, then adds.
-  void add_named(const std::string& name, double v = 1.0) { add(counter_id(name), v); }
+  /// By-name update: interns on first use, then adds.
+  void add_named(std::string_view name, double v = 1.0) { add(counter_id(name), v); }
 
   // ------------------------------------------------------- reads (cold)
   [[nodiscard]] double counter(MetricId id) const { return counters_[id].value; }
@@ -96,10 +99,10 @@ class MetricsRegistry {
   [[nodiscard]] const SampleSeries& series(MetricId id) const { return series_[id].value; }
 
   /// Value of a counter by name; 0.0 when the name was never interned.
-  [[nodiscard]] double counter_value(const std::string& name) const;
-  [[nodiscard]] double gauge_value(const std::string& name) const;
+  [[nodiscard]] double counter_value(std::string_view name) const;
+  [[nodiscard]] double gauge_value(std::string_view name) const;
   /// Series by name; a shared empty series when the name was never interned.
-  [[nodiscard]] const SampleSeries& series_by_name(const std::string& name) const;
+  [[nodiscard]] const SampleSeries& series_by_name(std::string_view name) const;
 
   // ---------------------------------------------------------- iteration
   /// Visit every metric of a kind as (name, value); insertion order.
@@ -123,17 +126,28 @@ class MetricsRegistry {
     T value{};
   };
 
+  /// Transparent hash: the indexes find a std::string_view without
+  /// building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameIndex = std::unordered_map<std::string, MetricId, NameHash, std::equal_to<>>;
+
   template <typename T>
-  static MetricId intern(std::unordered_map<std::string, MetricId>& index,
-                         std::vector<Entry<T>>& store, const std::string& name) {
-    const auto [it, inserted] = index.emplace(name, static_cast<MetricId>(store.size()));
-    if (inserted) store.push_back(Entry<T>{name, T{}});
-    return it->second;
+  static MetricId intern(NameIndex& index, std::vector<Entry<T>>& store, std::string_view name) {
+    if (const auto it = index.find(name); it != index.end()) return it->second;
+    const auto id = static_cast<MetricId>(store.size());
+    index.emplace(name, id);
+    store.push_back(Entry<T>{std::string{name}, T{}});
+    return id;
   }
 
-  std::unordered_map<std::string, MetricId> counter_index_;
-  std::unordered_map<std::string, MetricId> gauge_index_;
-  std::unordered_map<std::string, MetricId> series_index_;
+  NameIndex counter_index_;
+  NameIndex gauge_index_;
+  NameIndex series_index_;
   std::vector<Entry<double>> counters_;
   std::vector<Entry<double>> gauges_;
   std::vector<Entry<SampleSeries>> series_;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
 
 #include "sim/world.hpp"
@@ -41,6 +43,7 @@ class MacMediumTest : public ::testing::Test {
       Node& node = world_->add_node(std::make_unique<StaticMobility>(pos));
       node.register_handler(Port::kCbr, [this, id = node.id()](const Packet& p, NodeId from) {
         received_.push_back({id, from, p.body_as<TestPayload>()->value});
+        if (on_rx_) on_rx_(id);
       });
     }
     return *world_;
@@ -52,8 +55,20 @@ class MacMediumTest : public ::testing::Test {
     int value;
   };
 
+  /// `n` nodes: node 0 at the centre, the rest on a 100 m ring around it.
+  World& build_star(std::size_t n) {
+    std::vector<Vec2> positions{{500, 500}};
+    for (std::size_t i = 1; i < n; ++i) {
+      const double angle = 2.0 * 3.141592653589793 * static_cast<double>(i) /
+                           static_cast<double>(n - 1);
+      positions.push_back(Vec2{500.0 + 100.0 * std::cos(angle), 500.0 + 100.0 * std::sin(angle)});
+    }
+    return build(positions);
+  }
+
   std::unique_ptr<World> world_;
   std::vector<Rx> received_;
+  std::function<void(NodeId at)> on_rx_;
 };
 
 TEST_F(MacMediumTest, BroadcastReachesAllInRange) {
@@ -214,6 +229,86 @@ TEST_F(MacMediumTest, UnfilteredSendBypassesOutboundFilters) {
   EXPECT_EQ(received_.size(), 1u);
 }
 
+// All receivers of a frame finish decoding at one instant, so the medium
+// ends every one of their receptions in a single scheduler event: a
+// broadcast costs the same number of events however many nodes hear it.
+TEST_F(MacMediumTest, OneReceptionEndEventPerFrame) {
+  std::vector<std::uint64_t> events;
+  for (const std::size_t receivers : {1u, 5u, 12u}) {
+    World& world = build_star(receivers + 1);
+    received_.clear();
+    world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+    world.run_until(1.0);
+    ASSERT_EQ(received_.size(), receivers);
+    events.push_back(world.sched().executed());
+  }
+  EXPECT_EQ(events[1], events[0]);
+  EXPECT_EQ(events[2], events[0]);
+}
+
+// The batched end keeps the order per-receiver events had: receptions end
+// in ascending NodeId order at one instant, all before the transmitter's
+// tx-done, and an event a handler schedules for that instant runs after
+// both.
+TEST_F(MacMediumTest, ReceptionsEndInNodeIdOrderBeforeTxDone) {
+  // The transmitter (node 2) sits at the centre; receiver distance does not
+  // follow NodeId order.
+  World& world = build({{240, 0}, {150, 0}, {0, 0}, {-50, 0}, {-200, 0}});
+  std::vector<NodeId> order;
+  std::vector<Time> at;
+  std::vector<std::size_t> tx_queue;
+  std::size_t later_tx_queue = 99;
+  std::size_t handlers_before_later = 0;
+  on_rx_ = [&](NodeId id) {
+    if (order.empty()) {
+      world.sched().schedule_in(0.0, [&] {
+        handlers_before_later = order.size();
+        later_tx_queue = world.node(2).mac().queue_depth();
+      });
+    }
+    order.push_back(id);
+    at.push_back(world.now());
+    tx_queue.push_back(world.node(2).mac().queue_depth());
+  };
+  world.node(2).link_send(make_packet(2, kBroadcast, 1), kBroadcast);
+  world.run_until(1.0);
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 3, 4}));
+  for (const Time t : at) EXPECT_EQ(t, at.front());
+  EXPECT_EQ(tx_queue, (std::vector<std::size_t>(4, 1u)));
+  EXPECT_EQ(handlers_before_later, 4u);
+  EXPECT_EQ(later_tx_queue, 0u);
+}
+
+// An injected corruption kills one receiver's copy only: the rest of the
+// frame's receivers still get it, and nothing counts as a collision.
+TEST_F(MacMediumTest, CorruptedReceiverLeavesTheRestOfTheBatch) {
+  World& world = build_star(5);
+  world.medium().set_delivery_filter([](const Frame&, NodeId rx, Time) {
+    return rx == 2 ? DeliveryVerdict::kCorrupt : DeliveryVerdict::kDeliver;
+  });
+  world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+  world.run_until(1.0);
+  std::vector<NodeId> got;
+  for (const Rx& rx : received_) got.push_back(rx.at);
+  EXPECT_EQ(got, (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_EQ(world.medium().collisions(), 0u);
+  EXPECT_GT(world.node(2).energy().rx_time(), 0.0);  // it still heard the airtime
+}
+
+// Every event of an acked unicast, the SIFS ack included, is MAC work.
+TEST_F(MacMediumTest, AckEventCountsUnderMac) {
+  World& world = build({{0, 0}, {100, 0}});
+  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.run_until(1.0);
+  ASSERT_EQ(received_.size(), 1u);
+  ASSERT_EQ(world.medium().frames_sent(), 2u);  // the data frame and its ack
+  const SchedulerProfile& profile = world.sched().profile();
+  EXPECT_EQ(profile.executed[static_cast<std::size_t>(EventTag::kGeneric)], 0u);
+  // Backoff, data reception end, tx-done, SIFS ack, ack reception end.
+  EXPECT_EQ(profile.executed[static_cast<std::size_t>(EventTag::kMac)], 5u);
+  EXPECT_EQ(profile.executed_total(), 5u);
+}
+
 TEST_F(MacMediumTest, TrueNeighborsMatchesGeometry) {
   World& world = build({{0, 0}, {100, 0}, {240, 0}, {600, 0}});
   const auto neighbors = world.true_neighbors(0);
@@ -337,6 +432,20 @@ TEST(CarrierSenseOracle, ShardWindowReachesTheDiskEdge) {
 }
 
 #if ICC_CHECKED_ENABLED
+TEST(MacDeathTest, EndingAReceptionThatNeverBeganAborts) {
+  EXPECT_DEATH(
+      {
+        WorldConfig config;
+        World world{config};
+        world.add_node(std::make_unique<StaticMobility>(Vec2{100, 100}));
+        Frame frame;
+        frame.tx = 0;
+        frame.frame_id = 7;
+        world.node(0).mac().end_reception(frame);
+      },
+      "every owed reception must end exactly once");
+}
+
 TEST(CarrierSenseOracleDeathTest, MoreFramesOnTheAirThanRadiosAborts) {
   EXPECT_DEATH(
       {

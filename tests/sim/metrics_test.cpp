@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
@@ -109,6 +110,12 @@ TEST(MetricsRegistry, NamedUpdatesShareStorageWithIds) {
   reg.sample(reg.series_id("s"), 2.0);
   reg.sample(reg.series_id("s"), 4.0);
   EXPECT_DOUBLE_EQ(reg.series_by_name("s").mean(), 3.0);
+  // A name is its bytes: a view into a longer buffer finds the same counter.
+  const std::string_view buffer{"sts.beacons_accepted.tail"};
+  reg.add_named("sts.beacons_accepted");
+  reg.add_named(buffer.substr(0, 20));
+  EXPECT_DOUBLE_EQ(reg.counter_value("sts.beacons_accepted"), 2.0);
+  EXPECT_DOUBLE_EQ(reg.counter_value(buffer), 0.0);
 }
 
 TEST(RunReport, JsonCarriesSeriesStatistics) {
