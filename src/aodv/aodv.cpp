@@ -36,9 +36,10 @@ Aodv::Aodv(net::Host& node, Params params)
 }
 
 void Aodv::schedule_seen_cache_cleanup() {
-  // Periodically forget seen RREQ ids so the cache stays bounded. rreq_ids
-  // are monotone per origin, so forgetting old entries cannot re-admit a
-  // duplicate that is still in flight within the timeout.
+  // Every seen_cache_timeout, forget every seen RREQ at once so the cache
+  // stays bounded. This is not ns-2's per-entry expiry (BCAST_ID_SAVE): a
+  // flood still in flight when the clear fires is relayed a second time by
+  // nodes that already relayed it (ROADMAP, the seen-cache fidelity item).
   node_.clock().schedule_in(params_.seen_cache_timeout, [this] {
     seen_rreqs_.clear();
     schedule_seen_cache_cleanup();
@@ -48,26 +49,26 @@ void Aodv::schedule_seen_cache_cleanup() {
 sim::Time Aodv::now() const { return node_.now(); }
 
 bool Aodv::has_route(sim::NodeId dest) const {
-  const auto it = routes_.find(dest);
-  return it != routes_.end() && it->second.valid && it->second.expires > now();
+  const RouteEntry* route = routes_.find(dest);
+  return route != nullptr && route->valid && route->expires > now();
 }
 
 sim::NodeId Aodv::next_hop_to(sim::NodeId dest) const {
-  const auto it = routes_.find(dest);
-  if (it == routes_.end() || !it->second.valid) return sim::kNoNode;
-  return it->second.next_hop;
+  const RouteEntry* route = routes_.find(dest);
+  if (route == nullptr || !route->valid) return sim::kNoNode;
+  return route->next_hop;
 }
 
 std::optional<std::uint32_t> Aodv::known_dest_seq(sim::NodeId dest) const {
-  const auto it = routes_.find(dest);
-  if (it == routes_.end() || !it->second.seq_known) return std::nullopt;
-  return it->second.dest_seq;
+  const RouteEntry* route = routes_.find(dest);
+  if (route == nullptr || !route->seq_known) return std::nullopt;
+  return route->dest_seq;
 }
 
 void Aodv::invalidate_routes_via(sim::NodeId via) {
-  for (auto& [dest, entry] : routes_) {
+  routes_.for_each_in_key_order([via](sim::NodeId, RouteEntry& entry) {
     if (entry.valid && entry.next_hop == via) entry.valid = false;
-  }
+  });
 }
 
 void Aodv::update_route(sim::NodeId dest, sim::NodeId next_hop, std::uint32_t hop_count,
@@ -124,10 +125,10 @@ void Aodv::send_data(sim::NodeId dest, DataMsg data) {
 
 void Aodv::forward_data(const sim::Packet& packet, const DataMsg&) {
   const sim::NodeId dest = packet.dst;
-  const auto it = routes_.find(dest);
-  if (it != routes_.end() && it->second.valid && it->second.expires > now()) {
-    it->second.expires = now() + params_.active_route_timeout;  // route in use
-    send_data_packet(packet, it->second.next_hop);
+  if (RouteEntry* route = routes_.find(dest);
+      route != nullptr && route->valid && route->expires > now()) {
+    route->expires = now() + params_.active_route_timeout;  // route in use
+    send_data_packet(packet, route->next_hop);
     return;
   }
   if (packet.src == node_.id()) {
@@ -152,8 +153,8 @@ void Aodv::forward_data(const sim::Packet& packet, const DataMsg&) {
                                packet.parent});
   if (params_.send_rerr) {
     auto rerr = std::make_shared<RerrMsg>();
-    const auto rit = routes_.find(dest);
-    rerr->unreachable.emplace_back(dest, rit != routes_.end() ? rit->second.dest_seq + 1 : 0);
+    const RouteEntry* route = routes_.find(dest);
+    rerr->unreachable.emplace_back(dest, route != nullptr ? route->dest_seq + 1 : 0);
     sim::Packet p;
     p.src = node_.id();
     p.dst = sim::kBroadcast;
@@ -181,11 +182,11 @@ void Aodv::start_discovery(sim::NodeId dest) {
   rreq.rreq_id = next_rreq_id_++;
   rreq.orig_seq = own_seq_;
   rreq.dest = dest;
-  const auto it = routes_.find(dest);
-  rreq.dest_seq_known = it != routes_.end() && it->second.seq_known;
-  rreq.dest_seq = rreq.dest_seq_known ? it->second.dest_seq : 0;
+  const RouteEntry* route = routes_.find(dest);
+  rreq.dest_seq_known = route != nullptr && route->seq_known;
+  rreq.dest_seq = rreq.dest_seq_known ? route->dest_seq : 0;
   rreq.hop_count = 0;
-  seen_rreqs_.emplace(rreq.orig, rreq.rreq_id);
+  seen_rreqs_.insert(rreq_key(rreq));
   broadcast_rreq(rreq);
 
   pending.retry_event = node_.clock().schedule_in(
@@ -212,11 +213,11 @@ void Aodv::retry_discovery(sim::NodeId dest) {
   rreq.rreq_id = next_rreq_id_++;
   rreq.orig_seq = own_seq_;
   rreq.dest = dest;
-  const auto rit = routes_.find(dest);
-  rreq.dest_seq_known = rit != routes_.end() && rit->second.seq_known;
-  rreq.dest_seq = rreq.dest_seq_known ? rit->second.dest_seq : 0;
+  const RouteEntry* route = routes_.find(dest);
+  rreq.dest_seq_known = route != nullptr && route->seq_known;
+  rreq.dest_seq = rreq.dest_seq_known ? route->dest_seq : 0;
   rreq.hop_count = 0;
-  seen_rreqs_.emplace(rreq.orig, rreq.rreq_id);
+  seen_rreqs_.insert(rreq_key(rreq));
   broadcast_rreq(rreq);
   pending.retry_event = node_.clock().schedule_in(
       params_.rreq_retry_interval * (1 << pending.attempts), [this, dest] {
@@ -296,7 +297,7 @@ void Aodv::handle_packet(const sim::Packet& packet, sim::NodeId from) {
 
 void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
   if (rreq.orig == node_.id()) return;
-  if (!seen_rreqs_.emplace(rreq.orig, rreq.rreq_id).second) return;
+  if (!seen_rreqs_.insert(rreq_key(rreq))) return;
 
   update_route(from, from, 1, 0, false);
   update_route(rreq.orig, from, rreq.hop_count + 1, rreq.orig_seq, true);
@@ -319,15 +320,14 @@ void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
   // knowledge answers the RREQ directly (AODV without the destination-only
   // flag).
   if (!params_.dest_only) {
-    const auto it = routes_.find(rreq.dest);
-    if (it != routes_.end() && it->second.valid && it->second.expires > now() &&
-        it->second.seq_known &&
-        (!rreq.dest_seq_known || it->second.dest_seq >= rreq.dest_seq)) {
+    const RouteEntry* route = routes_.find(rreq.dest);
+    if (route != nullptr && route->valid && route->expires > now() && route->seq_known &&
+        (!rreq.dest_seq_known || route->dest_seq >= rreq.dest_seq)) {
       RrepMsg rrep;
       rrep.dest = rreq.dest;
-      rrep.dest_seq = it->second.dest_seq;
+      rrep.dest_seq = route->dest_seq;
       rrep.orig = rreq.orig;
-      rrep.hop_count = it->second.hop_count;
+      rrep.hop_count = route->hop_count;
       node_.metrics().add_named("aodv.intermediate_rrep");
       send_rrep_towards(rrep);
       return;
@@ -350,11 +350,12 @@ void Aodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
 
 void Aodv::send_rrep_towards(const RrepMsg& rrep) {
   // Unicast along the reverse route to the requester.
-  const auto it = routes_.find(rrep.orig);
-  if (it == routes_.end() || !it->second.valid) {
+  const RouteEntry* route = routes_.find(rrep.orig);
+  if (route == nullptr || !route->valid) {
     node_.metrics().add_named("aodv.rrep_no_reverse_route");
     return;
   }
+  const sim::NodeId next_hop = route->next_hop;
   sim::Packet packet;
   packet.src = node_.id();
   packet.dst = rrep.orig;
@@ -364,11 +365,11 @@ void Aodv::send_rrep_towards(const RrepMsg& rrep) {
   packet.uid = node_.next_packet_uid();
   packet.parent = node_.lineage_parent();
   node_.metrics().add(m_rrep_sent_);
-  node_.tracer().emit({now(), sim::TraceType::kRouteRrepSent, node_.id(),
-                               it->second.next_hop, packet.uid, RrepMsg::kWireSize,
+  node_.tracer().emit({now(), sim::TraceType::kRouteRrepSent, node_.id(), next_hop,
+                               packet.uid, RrepMsg::kWireSize,
                                static_cast<double>(rrep.hop_count), nullptr, packet.uid,
                                packet.parent});
-  node_.transport().send(std::move(packet), it->second.next_hop);
+  node_.transport().send(std::move(packet), next_hop);
 }
 
 void Aodv::handle_rrep(const RrepMsg& rrep, sim::NodeId from) {
@@ -390,10 +391,10 @@ void Aodv::handle_rrep(const RrepMsg& rrep, sim::NodeId from) {
 void Aodv::handle_rerr(const RerrMsg& rerr, sim::NodeId from) {
   RerrMsg propagated;
   for (const auto& [dest, seq] : rerr.unreachable) {
-    const auto it = routes_.find(dest);
-    if (it != routes_.end() && it->second.valid && it->second.next_hop == from) {
-      it->second.valid = false;
-      if (seq > it->second.dest_seq) it->second.dest_seq = seq;
+    RouteEntry* route = routes_.find(dest);
+    if (route != nullptr && route->valid && route->next_hop == from) {
+      route->valid = false;
+      if (seq > route->dest_seq) route->dest_seq = seq;
       propagated.unreachable.emplace_back(dest, seq);
     }
   }
@@ -427,13 +428,13 @@ void Aodv::on_link_failure(const sim::Packet& packet, sim::NodeId next_hop) {
   }
 
   RerrMsg rerr;
-  for (auto& [dest, entry] : routes_) {
+  routes_.for_each_in_key_order([&rerr, next_hop](sim::NodeId dest, RouteEntry& entry) {
     if (entry.valid && entry.next_hop == next_hop) {
       entry.valid = false;
       entry.dest_seq += 1;
       rerr.unreachable.emplace_back(dest, entry.dest_seq);
     }
-  }
+  });
   if (!rerr.unreachable.empty() && params_.send_rerr) {
     sim::Packet p;
     p.src = node_.id();

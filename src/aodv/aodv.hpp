@@ -16,8 +16,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 
+#include "aodv/flat_table.hpp"
 #include "aodv/messages.hpp"
 #include "net/host.hpp"
 #include "sim/metrics.hpp"
@@ -74,12 +74,13 @@ class Aodv {
   void invalidate_routes_via(sim::NodeId via);
 
  protected:
+  // Fields ordered widest first: 24 bytes, so a route-table slot is 32.
   struct RouteEntry {
+    sim::Time expires{0.0};
     sim::NodeId next_hop{sim::kNoNode};
     std::uint32_t hop_count{0};
     std::uint32_t dest_seq{0};
     bool seq_known{false};
-    sim::Time expires{0.0};
     bool valid{false};
   };
 
@@ -117,23 +118,29 @@ class Aodv {
   sim::MetricId m_rreq_sent_;
   sim::MetricId m_rrep_sent_;
 
+  /// The seen-cache key of a RREQ: (orig, rreq_id) packed into 64 bits.
+  [[nodiscard]] static std::uint64_t rreq_key(const RreqMsg& rreq) noexcept {
+    return (std::uint64_t{rreq.orig} << 32) | rreq.rreq_id;
+  }
+
   std::uint32_t own_seq_{1};
   std::uint32_t next_rreq_id_{1};
-  // Ordered deliberately: on_link_failure and forward_data iterate routes_
-  // to assemble RERR payloads, so iteration order reaches packet contents.
-  // std::map keys the walk on NodeId instead of hash-table layout, keeping
-  // the wire bytes a pure function of protocol state (DESIGN.md §9).
-  std::map<sim::NodeId, RouteEntry> routes_;
-  std::set<std::pair<sim::NodeId, std::uint32_t>> seen_rreqs_;
+  // Route entries are invalidated, never erased. on_link_failure walks the
+  // table to assemble RERR payloads, so walk order reaches packet contents:
+  // the table's only walk is in ascending NodeId order, never slot layout,
+  // keeping the wire bytes a pure function of protocol state (DESIGN.md §9).
+  FlatTable<sim::NodeId, RouteEntry> routes_;
+  FlatTable<std::uint64_t> seen_rreqs_;  ///< rreq_key of every RREQ handled
 
   struct PendingDiscovery {
     int attempts{0};
     net::TimerId retry_event{net::kNoTimer};
     std::deque<sim::Packet> buffered;
   };
-  // Keyed access only today, but kept ordered alongside routes_ so a future
-  // sweep (e.g. buffer-expiry reporting) cannot reintroduce hash-order
-  // nondeterminism.
+  // Keyed access only, and touched once per discovery by originators alone,
+  // so it stays a std::map: a flat table would buy nothing here, and the
+  // map's order keeps any future sweep (e.g. buffer-expiry reporting) off
+  // hash layout.
   std::map<sim::NodeId, PendingDiscovery> pending_;
 };
 

@@ -58,7 +58,7 @@ void MisbehaviorAodv::handle_rreq(const RreqMsg& rreq, sim::NodeId from) {
     return;
   }
   if (rreq.orig == node_.id()) return;
-  if (!seen_rreqs_.emplace(rreq.orig, rreq.rreq_id).second) return;
+  if (!seen_rreqs_.insert(rreq_key(rreq))) return;
 
   // Keep the reverse route so the malicious RREP can travel back.
   update_route(from, from, 1, 0, false);

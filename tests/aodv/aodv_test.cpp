@@ -3,7 +3,11 @@
 // undefended network.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "aodv/misbehavior.hpp"
 #include "sim/world.hpp"
@@ -176,6 +180,79 @@ TEST_F(AodvTest, FresherSequenceNumberWins) {
   fresh.hop_count = 5;
   agents_[0]->inject_rrep(fresh, 1);
   EXPECT_TRUE(agents_[0]->has_route(2));
+}
+
+TEST_F(AodvTest, RerrListsUnreachableDestinationsInNodeIdOrder) {
+  // Chain 0-1-...-6, plus a listener beside node 0 and out of node 1's
+  // range that overhears node 0's RERR broadcast.
+  build_chain(7);
+  sim::Node& listener =
+      world_->add_node(std::make_unique<sim::StaticMobility>(sim::Vec2{-150.0, 0.0}));
+  agents_.push_back(std::make_unique<Aodv>(listener, Aodv::Params{}));
+  std::vector<std::vector<std::pair<sim::NodeId, std::uint32_t>>> rerrs;
+  world_->medium().set_delivery_filter(
+      [&rerrs, rx_id = listener.id()](const sim::Frame& frame, sim::NodeId rx, sim::Time) {
+        const auto* rerr = frame.packet.body_as<RerrMsg>();
+        if (rerr != nullptr && frame.tx == 0 && rx == rx_id) rerrs.push_back(rerr->unreachable);
+        return sim::DeliveryVerdict::kDeliver;
+      });
+
+  // Node 0 learns its routes in descending destination order, all via node 1.
+  for (sim::NodeId dest = 6; dest >= 3; --dest) {
+    agents_[0]->send_data(dest, DataMsg{});
+    world_->run_until(world_->now() + 1.0);
+    ASSERT_EQ(agents_[0]->next_hop_to(dest), 1u) << dest;
+  }
+  // Node 1 goes down, so the next packet exhausts its MAC retries.
+  world_->node(1).set_down(true);
+  agents_[0]->send_data(6, DataMsg{});
+  world_->run_until(world_->now() + 1.0);
+
+  ASSERT_FALSE(rerrs.empty());
+  std::vector<sim::NodeId> dests;
+  for (const auto& [dest, seq] : rerrs.front()) dests.push_back(dest);
+  EXPECT_EQ(dests, (std::vector<sim::NodeId>{1, 3, 4, 5, 6}));
+}
+
+TEST_F(AodvTest, EachNodeRelaysAFloodOnce) {
+  // A 5x5 grid at 150 m spacing with a 250 m range: a node hears the RREQ
+  // from up to eight neighbours, and relays it once.
+  sim::WorldConfig config;
+  config.width = 1000;
+  config.height = 1000;
+  config.tx_range = 250;
+  config.seed = 33;
+  world_ = std::make_unique<sim::World>(config);
+  constexpr int kSide = 5;
+  for (int i = 0; i < kSide * kSide; ++i) {
+    sim::Node& node = world_->add_node(std::make_unique<sim::StaticMobility>(
+        sim::Vec2{150.0 * (i % kSide), 150.0 * (i / kSide)}));
+    agents_.push_back(std::make_unique<Aodv>(node, Aodv::Params{}));
+  }
+  std::map<sim::NodeId, std::set<std::uint64_t>> rreq_frames;  // transmitter -> frame ids
+  std::size_t rreq_receptions = 0;
+  world_->medium().set_delivery_filter(
+      [&](const sim::Frame& frame, sim::NodeId, sim::Time) {
+        if (frame.packet.body_as<RreqMsg>() != nullptr) {
+          rreq_frames[frame.tx].insert(frame.frame_id);
+          ++rreq_receptions;
+        }
+        return sim::DeliveryVerdict::kDeliver;
+      });
+
+  // Node 99 does not exist, so the one RREQ floods the whole grid; the
+  // originator's first retry is not due before 1 s.
+  agents_[0]->send_data(99, DataMsg{});
+  world_->run_until(0.9);
+
+  constexpr std::size_t kNodes = kSide * kSide;
+  EXPECT_DOUBLE_EQ(world_->metrics().counter_value("aodv.rreq_sent"),
+                   static_cast<double>(kNodes));
+  EXPECT_EQ(rreq_frames.size(), kNodes);
+  for (const auto& [tx, frames] : rreq_frames) EXPECT_EQ(frames.size(), 1u) << "node " << tx;
+  // Nodes heard the flood more than twice each on average, and suppressed
+  // every copy after the first.
+  EXPECT_GT(rreq_receptions, 2 * kNodes);
 }
 
 // ------------------------------------------------------------- black hole
