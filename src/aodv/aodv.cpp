@@ -108,7 +108,7 @@ void Aodv::send_data(sim::NodeId dest, DataMsg data) {
   packet.port = sim::Port::kCbr;
   packet.size_bytes = data.app_bytes + kDataHeaderBytes;
   // The packet's span is the application uid, assigned here rather than at
-  // first link_send so a buffered packet already has an identity for the
+  // first send so a buffered packet already has an identity for the
   // discovery it triggers to point back at.
   packet.uid = data.app_uid;
   // The parent is fixed at origination too: a buffered packet flushed under
@@ -233,7 +233,7 @@ void Aodv::broadcast_rreq(const RreqMsg& rreq) {
   packet.size_bytes = RreqMsg::kWireSize;
   packet.body = std::make_shared<RreqMsg>(rreq);
   // Pre-stamp so the rreq_sent event carries the same span the packet will
-  // have on the air (link_send would only stamp it after this emit).
+  // have on the air (send would only stamp it after this emit).
   packet.uid = node_.next_packet_uid();
   packet.parent = node_.lineage_parent();
   node_.metrics().add(m_rreq_sent_);

@@ -8,7 +8,9 @@
 // filters run before a received packet reaches its handler.
 //
 // Implementations: the simulated radio node (sim/node.hpp) and the UDP
-// shared-medium emulation (net/udp.hpp).
+// shared-medium emulation (net/udp.hpp). Both keep only their link code and
+// delegate the filters, handlers and listeners to one net::Stack
+// (net/stack.hpp).
 #pragma once
 
 #include <functional>

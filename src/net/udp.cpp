@@ -8,10 +8,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
-#include "exp/env.hpp"
 #include "net/codec.hpp"
 
 namespace icc::net {
@@ -44,22 +45,16 @@ UdpHost::UdpHost(UdpConfig config)
       clock_{config.epoch_unix_us},
       rng_{config.seed},
       next_uid_{((static_cast<std::uint64_t>(config.id) + 1) << 40) | 1},
-      outbound_dropped_id_{metrics().counter_id("node.outbound_dropped")},
-      inbound_dropped_id_{metrics().counter_id("node.inbound_dropped")},
+      stack_{*this, config.id},
       tx_frames_id_{metrics().counter_id("net.udp.tx_frames")},
       rx_frames_id_{metrics().counter_id("net.udp.rx_frames")},
       rx_rejected_id_{metrics().counter_id("net.udp.rx_rejected")} {
   if (config_.num_nodes <= config_.id) fatal("node id outside the testnet size");
-  // Env knobs override the config defaults; strict-parsed so a typo'd value
-  // kills the node at startup rather than running an unimpaired testnet that
-  // claims to be impaired.
-  config_.fault_loss = exp::env_double("ICC_NET_LOSS", config_.fault_loss);
-  config_.fault_reorder = exp::env_double("ICC_NET_REORDER", config_.fault_reorder);
-  if (config_.fault_loss < 0.0 || config_.fault_loss > 1.0) {
-    fatal("ICC_NET_LOSS outside [0, 1]");
+  if (!(config_.fault_loss >= 0.0 && config_.fault_loss <= 1.0)) {
+    fatal("UdpConfig::fault_loss outside [0, 1]");
   }
-  if (config_.fault_reorder < 0.0 || config_.fault_reorder > 1.0) {
-    fatal("ICC_NET_REORDER outside [0, 1]");
+  if (!(config_.fault_reorder >= 0.0 && config_.fault_reorder <= 1.0)) {
+    fatal("UdpConfig::fault_reorder outside [0, 1]");
   }
   if (config_.fault_loss > 0.0 || config_.fault_reorder > 0.0) {
     // Fork only when armed: fork() advances the parent stream, and an
@@ -80,33 +75,12 @@ UdpHost::~UdpHost() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void UdpHost::stamp_lineage(sim::Packet& packet) {
-  if (packet.uid == 0) packet.uid = next_packet_uid();
-  if (packet.parent == 0 && lineage_parent_ != packet.uid) {
-    packet.parent = lineage_parent_;
-  }
-}
-
 void UdpHost::send(sim::Packet packet, sim::NodeId next_hop) {
-  stamp_lineage(packet);
-  for (const OutboundFilter& filter : outbound_filters_) {
-    switch (filter(packet, next_hop)) {
-      case FilterVerdict::kPass:
-        break;
-      case FilterVerdict::kDrop:
-        metrics().add(outbound_dropped_id_);
-        tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), next_hop, packet.uid,
-                      packet.size_bytes, 0.0, "outbound_filter", packet.uid, packet.parent});
-        return;
-      case FilterVerdict::kConsumed:
-        return;
-    }
-  }
-  send_unfiltered(std::move(packet), next_hop);
+  if (stack_.admit(packet, next_hop)) send_unfiltered(std::move(packet), next_hop);
 }
 
 void UdpHost::send_unfiltered(sim::Packet packet, sim::NodeId next_hop) {
-  stamp_lineage(packet);
+  stack_.stamp(packet);
   sim::Frame frame;
   frame.tx = id();
   frame.rx = next_hop;
@@ -172,26 +146,6 @@ void UdpHost::send_datagram(std::size_t peer, const std::vector<std::uint8_t>& b
   }
 }
 
-void UdpHost::register_handler(sim::Port port, Handler handler) {
-  handlers_.at(static_cast<std::size_t>(port)) = std::move(handler);
-}
-
-void UdpHost::add_promiscuous_listener(PromiscuousListener listener) {
-  promiscuous_.push_back(std::move(listener));
-}
-
-void UdpHost::add_inbound_filter(InboundFilter filter) {
-  inbound_filters_.push_back(std::move(filter));
-}
-
-void UdpHost::add_outbound_filter(OutboundFilter filter) {
-  outbound_filters_.push_back(std::move(filter));
-}
-
-void UdpHost::set_send_failed_handler(SendFailedHandler handler) {
-  send_failed_ = std::move(handler);
-}
-
 void UdpHost::drain_socket() {
   for (;;) {
     const ssize_t n = ::recv(fd_, rx_scratch_.data(), rx_scratch_.size(), 0);
@@ -213,32 +167,9 @@ void UdpHost::drain_socket() {
 }
 
 void UdpHost::dispatch(const sim::Frame& frame) {
+  // Every peer hears every frame, our own echo included; nothing is acked.
   if (frame.tx == id() || frame.is_ack) return;
-  if (frame.rx != id() && frame.rx != sim::kBroadcast) {
-    // Addressed elsewhere: the radio would still demodulate it — that
-    // overhearing is exactly what the watchdog feeds on.
-    for (const PromiscuousListener& listener : promiscuous_) listener(frame);
-    return;
-  }
-  const sim::Packet& packet = frame.packet;
-  tracer_.emit({now(), sim::TraceType::kPacketRx, id(), frame.tx, packet.uid,
-                packet.size_bytes, 0.0, nullptr, packet.uid, packet.parent});
-  LineageScope lineage{*this, packet.uid};
-  for (const InboundFilter& filter : inbound_filters_) {
-    switch (filter(packet, frame.tx)) {
-      case FilterVerdict::kPass:
-        break;
-      case FilterVerdict::kDrop:
-        metrics().add(inbound_dropped_id_);
-        tracer_.emit({now(), sim::TraceType::kPacketDrop, id(), frame.tx, packet.uid,
-                      packet.size_bytes, 0.0, "inbound_filter", packet.uid, packet.parent});
-        return;
-      case FilterVerdict::kConsumed:
-        return;
-    }
-  }
-  const Handler& handler = handlers_.at(static_cast<std::size_t>(packet.port));
-  if (handler) handler(packet, frame.tx);
+  stack_.receive(frame, false);
 }
 
 Time UdpHost::run_until(Time until) {

@@ -1,10 +1,10 @@
 // UDP deployment mode: one process per node, loopback sockets as the radio.
 //
 // The testnet emulates the simulator's single broadcast domain: every
-// encoded frame is sent to every peer (as a shared-medium radio would), and
-// each receiver then decides — exactly like the simulated MAC — whether the
-// frame is addressed to it (deliver), addressed elsewhere (promiscuous
-// overhear, which is what the watchdog lives on), or its own echo (drop).
+// encoded frame is sent to every peer (as a shared-medium radio would). A
+// receiver drops its own echo and hands every other frame to the same
+// interceptor stack the simulated node uses (net/stack.hpp), which decides
+// between delivery and promiscuous overhearing (what the watchdog lives on).
 //
 // UdpHost implements the same net::Host / net::Transport surface as the
 // simulator's Node, so the AODV agent, the inner-circle framework, the
@@ -13,12 +13,13 @@
 // namespace ((id+1) << 40 | n) that never collides across processes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/host.hpp"
+#include "net/stack.hpp"
 #include "net/steady_clock.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
@@ -33,11 +34,11 @@ struct UdpConfig {
   std::uint64_t seed{1};           ///< run seed; RNG forks derive from it
   std::int64_t epoch_unix_us{0};   ///< shared run epoch for SteadyClock
   Vec2 position{};                 ///< static position from the scenario spec
-  /// Link impairment, normally populated from ICC_NET_LOSS / ICC_NET_REORDER
-  /// (strict-parsed, [0, 1]) by the constructor: per-peer Bernoulli datagram
-  /// loss and one-datagram-delay reordering. Loopback UDP is too perfect a
-  /// radio — these knobs let the testnet rehearse the packet weather the
-  /// protocols were built for.
+  /// Link impairment in [0, 1] (tools/icnode fills both from ICC_NET_LOSS /
+  /// ICC_NET_REORDER): per-peer Bernoulli datagram loss and
+  /// one-datagram-delay reordering. Loopback UDP is too perfect a radio —
+  /// these let the testnet rehearse the packet weather the protocols were
+  /// built for.
   double fault_loss{0.0};
   double fault_reorder{0.0};
 };
@@ -73,11 +74,20 @@ class UdpHost final : public Host, public Transport {
   // --- Transport ---
   void send(sim::Packet packet, sim::NodeId next_hop) override;
   void send_unfiltered(sim::Packet packet, sim::NodeId next_hop) override;
-  void register_handler(sim::Port port, Handler handler) override;
-  void add_promiscuous_listener(PromiscuousListener listener) override;
-  void add_inbound_filter(InboundFilter filter) override;
-  void add_outbound_filter(OutboundFilter filter) override;
-  void set_send_failed_handler(SendFailedHandler handler) override;
+  void register_handler(sim::Port port, Handler handler) override {
+    stack_.register_handler(port, std::move(handler));
+  }
+  void add_promiscuous_listener(PromiscuousListener listener) override {
+    stack_.add_promiscuous_listener(std::move(listener));
+  }
+  void add_inbound_filter(InboundFilter filter) override {
+    stack_.add_inbound_filter(std::move(filter));
+  }
+  void add_outbound_filter(OutboundFilter filter) override {
+    stack_.add_outbound_filter(std::move(filter));
+  }
+  /// Loopback UDP has no per-frame acks, so no send ever reports a failure.
+  void set_send_failed_handler(SendFailedHandler /*handler*/) override {}
 
   // --- run loop ---
   /// Poll sockets and fire timers until the clock passes `until` or
@@ -91,7 +101,6 @@ class UdpHost final : public Host, public Transport {
   }
 
  private:
-  void stamp_lineage(sim::Packet& packet);
   void broadcast_bytes(const std::vector<std::uint8_t>& bytes);
   /// sendto with bounded exponential backoff on transient errors (EAGAIN /
   /// ENOBUFS / EINTR): a full socket buffer under load must not silently
@@ -121,17 +130,9 @@ class UdpHost final : public Host, public Transport {
   std::size_t held_peer_{0};
   bool holding_{false};
 
-  std::array<Handler, static_cast<std::size_t>(sim::Port::kCount)> handlers_{};
-  std::vector<PromiscuousListener> promiscuous_;
-  std::vector<InboundFilter> inbound_filters_;
-  std::vector<OutboundFilter> outbound_filters_;
-  SendFailedHandler send_failed_;  ///< kept for interface parity; loopback
-                                   ///< UDP reports no per-frame loss
-
   std::atomic<bool> stop_{false};
 
-  sim::MetricId outbound_dropped_id_;
-  sim::MetricId inbound_dropped_id_;
+  Stack stack_;
   sim::MetricId tx_frames_id_;
   sim::MetricId rx_frames_id_;
   sim::MetricId rx_rejected_id_;

@@ -184,11 +184,6 @@ void Mac::end_reception(const Frame& frame) {
 }
 
 void Mac::handle_frame_arrival(const Frame& frame) {
-  if (!frame.is_ack && (frame.rx == node_.id() || frame.rx == kBroadcast)) {
-    world_.tracer().emit({world_.sched().now(), TraceType::kPacketRx, node_.id(), frame.tx,
-                          frame.packet.uid, frame.packet.size_bytes, 0.0, nullptr,
-                          frame.packet.uid, frame.packet.parent});
-  }
   if (frame.is_ack) {
     if (frame.rx == node_.id() && in_progress_ && awaiting_ack_id_ == frame.frame_id) {
       world_.sched().cancel(ack_timeout_event_);
@@ -198,10 +193,8 @@ void Mac::handle_frame_arrival(const Frame& frame) {
     }
     return;
   }
-  if (frame.rx != node_.id() && frame.rx != kBroadcast) {
-    node_.frame_overheard(frame);
-    return;
-  }
+  // send_ack only schedules the SIFS ack (no trace, no random draw), so the
+  // node's packet_rx still precedes everything the ack does.
   if (frame.rx == node_.id()) send_ack(frame);
   node_.frame_received(frame);
 }

@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "net/transport.hpp"
 #include "sim/frame.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -37,9 +37,6 @@ struct MacParams {
 /// Per-node MAC entity. Owns the transmit queue and the reception state.
 class Mac {
  public:
-  /// Invoked when a unicast frame exhausted its retries.
-  using SendFailedHandler = std::function<void(const Packet&, NodeId next_hop)>;
-
   Mac(World& world, Node& node, MacParams params);
 
   /// Queue a packet for transmission to link neighbor `next_hop`
@@ -56,7 +53,8 @@ class Mac {
   /// now; hands the frame up unless it was corrupted on the way.
   void end_reception(const Frame& frame);
 
-  void set_send_failed_handler(SendFailedHandler h) { on_send_failed_ = std::move(h); }
+  /// Invoked when a unicast frame exhausted its retries.
+  void set_send_failed_handler(net::SendFailedHandler h) { on_send_failed_ = std::move(h); }
 
   /// On-air duration for a payload of `bytes` (MAC header added here).
   [[nodiscard]] double frame_airtime(std::uint32_t bytes) const noexcept {
@@ -103,7 +101,7 @@ class Mac {
   std::uint64_t next_frame_id_{1};
   std::uint64_t unicast_failures_{0};
 
-  SendFailedHandler on_send_failed_;
+  net::SendFailedHandler on_send_failed_;
 };
 
 }  // namespace icc::sim

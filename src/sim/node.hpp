@@ -1,18 +1,14 @@
 // A simulated wireless node: position (mobility), radio energy meter, MAC,
-// and a demultiplexed stack of protocol handlers.
-//
-// The node also hosts the filter chains the Inner-circle Interceptor (paper
-// §4, Fig 1) hooks into: outbound filters run between the network layer and
-// the MAC, inbound filters run between the MAC and the protocol handlers.
+// and the interceptor stack (net/stack.hpp) between its protocol handlers
+// and the MAC.
 #pragma once
 
-#include <array>
-#include <functional>
 #include <memory>
-#include <vector>
+#include <utility>
 
 #include "net/clock.hpp"
 #include "net/host.hpp"
+#include "net/stack.hpp"
 #include "sim/energy.hpp"
 #include "sim/mac.hpp"
 #include "sim/metrics.hpp"
@@ -24,22 +20,8 @@ namespace icc::sim {
 
 class World;
 
-/// Historical spellings: the interceptor vocabulary now lives with the
-/// Transport interface (net/transport.hpp) so both the simulated radio and
-/// the UDP deployment transport share it.
-using FilterVerdict = net::FilterVerdict;
-
 class Node final : public net::Host, public net::Transport {
  public:
-  /// Handler for packets delivered to a port: (packet, link-level sender).
-  using Handler = net::Handler;
-  /// Promiscuous listener: sees every frame this radio decodes, including
-  /// traffic addressed to other nodes (watchdog-style overhearing).
-  using PromiscuousListener = net::PromiscuousListener;
-  using InboundFilter = net::InboundFilter;
-  /// Outbound filters may inspect the packet and the chosen next hop.
-  using OutboundFilter = net::OutboundFilter;
-
   Node(World& world, NodeId id, std::unique_ptr<Mobility> mobility, MacParams mac_params);
 
   [[nodiscard]] NodeId id() const noexcept override { return id_; }
@@ -66,35 +48,22 @@ class Node final : public net::Host, public net::Transport {
   Mobility& mobility() noexcept { return *mobility_; }
   [[nodiscard]] const Mobility& mobility() const noexcept { return *mobility_; }
 
-  /// Send `packet` to link neighbor `next_hop` (kBroadcast for a one-hop
-  /// broadcast). Runs the outbound filter chain first.
-  void link_send(Packet packet, NodeId next_hop);
-
-  /// Bypass the outbound filters — used by the inner-circle services
-  /// themselves (their own traffic must not be re-intercepted).
-  void link_send_unfiltered(Packet packet, NodeId next_hop);
-
-  // net::Transport implementation (link_send keeps its historical name for
-  // simulator-internal call sites).
-  void send(Packet packet, NodeId next_hop) override {
-    link_send(std::move(packet), next_hop);
+  // net::Transport implementation.
+  void send(Packet packet, NodeId next_hop) override;
+  void send_unfiltered(Packet packet, NodeId next_hop) override;
+  void register_handler(Port port, net::Handler handler) override {
+    stack_.register_handler(port, std::move(handler));
   }
-  void send_unfiltered(Packet packet, NodeId next_hop) override {
-    link_send_unfiltered(std::move(packet), next_hop);
+  void add_promiscuous_listener(net::PromiscuousListener l) override {
+    stack_.add_promiscuous_listener(std::move(l));
   }
-
-  void register_handler(Port port, Handler handler) override;
-  void add_promiscuous_listener(PromiscuousListener l) override {
-    promiscuous_.push_back(std::move(l));
+  void add_inbound_filter(net::InboundFilter f) override {
+    stack_.add_inbound_filter(std::move(f));
   }
-  void add_inbound_filter(InboundFilter f) override {
-    inbound_filters_.push_back(std::move(f));
+  void add_outbound_filter(net::OutboundFilter f) override {
+    stack_.add_outbound_filter(std::move(f));
   }
-  void add_outbound_filter(OutboundFilter f) override {
-    outbound_filters_.push_back(std::move(f));
-  }
-
-  void set_send_failed_handler(Mac::SendFailedHandler h) override {
+  void set_send_failed_handler(net::SendFailedHandler h) override {
     mac_->set_send_failed_handler(std::move(h));
   }
 
@@ -102,30 +71,17 @@ class Node final : public net::Host, public net::Transport {
   void set_down(bool down) noexcept { down_ = down; }
   [[nodiscard]] bool down() const noexcept override { return down_; }
 
-  /// MAC -> node: a decoded frame addressed to us (or broadcast).
-  void frame_received(const Frame& frame);
-  /// MAC -> node: a decoded frame addressed to someone else (promiscuous).
-  void frame_overheard(const Frame& frame);
-  [[nodiscard]] bool promiscuous() const noexcept { return !promiscuous_.empty(); }
+  /// MAC -> node: a decoded data frame, whoever it is addressed to.
+  void frame_received(const Frame& frame) { stack_.receive(frame, down_); }
 
  private:
-  /// Assign a uid if missing and inherit the current lineage context as the
-  /// packet's parent (idempotent; see Packet::parent).
-  void stamp_lineage(Packet& packet);
-
   World& world_;
   NodeId id_;
   std::unique_ptr<Mobility> mobility_;
   EnergyMeter energy_;
   std::unique_ptr<Mac> mac_;
   bool down_{false};
-  MetricId outbound_dropped_id_;
-  MetricId inbound_dropped_id_;
-
-  std::array<Handler, kNumPorts> handlers_{};
-  std::vector<PromiscuousListener> promiscuous_;
-  std::vector<InboundFilter> inbound_filters_;
-  std::vector<OutboundFilter> outbound_filters_;
+  net::Stack stack_;
 };
 
 }  // namespace icc::sim

@@ -50,7 +50,7 @@ class AdversarialTest : public ::testing::Test {
     packet.port = sim::Port::kIvs;
     packet.size_bytes = 64;
     packet.body = std::move(body);
-    attacker_->link_send_unfiltered(std::move(packet), dst);
+    attacker_->send_unfiltered(std::move(packet), dst);
   }
 
   int count_deliveries() {

@@ -151,7 +151,7 @@ TEST_F(TopologyTest, SpoofedBeaconDoesNotRefreshLink) {
       packet.port = sim::Port::kSts;
       packet.size_bytes = 60;
       packet.body = std::move(forged);
-      world_->node(2).link_send_unfiltered(std::move(packet), sim::kBroadcast);
+      world_->node(2).send_unfiltered(std::move(packet), sim::kBroadcast);
     });
   }
   world_->run_until(5.0 + 3.0);
@@ -200,7 +200,7 @@ TEST_F(TopologyTest, BeaconsVerifyUnderTheCurrentSessionKey) {
         packet.port = sim::Port::kSts;
         packet.size_bytes = 60;
         packet.body = std::move(forged);
-        world_->node(2).link_send_unfiltered(std::move(packet), sim::kBroadcast);
+        world_->node(2).send_unfiltered(std::move(packet), sim::kBroadcast);
       });
     }
     world_->run_until(13.5);

@@ -233,7 +233,7 @@ TEST_F(VotingTest, SuppressedRawTemplateNeverReachesHandler) {
   packet.port = sim::Port::kCbr;
   packet.size_bytes = 32;
   packet.body = std::make_shared<RawPayload>();
-  world_->node(0).link_send_unfiltered(std::move(packet), 1);
+  world_->node(0).send_unfiltered(std::move(packet), 1);
   world_->run_until(6.0);
   EXPECT_EQ(delivered, 0);
 }
@@ -268,7 +268,7 @@ TEST_F(VotingTest, OutgoingTemplateRedirectsToVoting) {
   auto body = std::make_shared<RawPayload>();
   body->value = 42;
   packet.body = std::move(body);
-  world_->node(0).link_send(std::move(packet), 1);  // filtered path
+  world_->node(0).send(std::move(packet), 1);  // filtered path
   world_->run_until(6.0);
   EXPECT_TRUE(agreed);
 }
@@ -289,7 +289,7 @@ TEST_F(VotingTest, ConvictedNodeIsCutOff) {
   packet.port = sim::Port::kCbr;
   packet.size_bytes = 16;
   packet.body = std::make_shared<RawPayload>();
-  world_->node(0).link_send_unfiltered(std::move(packet), 1);
+  world_->node(0).send_unfiltered(std::move(packet), 1);
   world_->run_until(6.0);
   EXPECT_EQ(delivered, 0);
 }

@@ -184,7 +184,7 @@ TEST_F(NoiseTest, CorruptionStaysWithinTheBudget) {
 
   for (int i = 0; i < 30; ++i) {
     world.sched().schedule_at(0.05 * i,
-                              [&world] { world.node(0).link_send(data_packet(0, 1), 1); });
+                              [&world] { world.node(0).send(data_packet(0, 1), 1); });
   }
   world.run_until(5.0);
 
@@ -215,7 +215,7 @@ TEST_F(NoiseTest, NonPositiveBudgetMeansUnbounded) {
 
   for (int i = 0; i < 10; ++i) {
     world.sched().schedule_at(0.05 * i,
-                              [&world] { world.node(0).link_send(data_packet(0, 1), 1); });
+                              [&world] { world.node(0).send(data_packet(0, 1), 1); });
   }
   world.run_until(3.0);
 
@@ -259,7 +259,7 @@ TEST_F(WormholeTest, TunnelCarriesFramesAcrossTheGap) {
   plan.wormhole.push_back(wormhole(kMouthA, kMouthB));
   InjectionEngine engine(world, plan);
 
-  world.node(kSender).link_send(data_packet(kSender, kVictim), kVictim);
+  world.node(kSender).send(data_packet(kSender, kVictim), kVictim);
   world.run_until(2.0);
 
   // The victim is 1150 m from the sender (range 250) yet the frame arrives:
@@ -284,7 +284,7 @@ TEST_F(WormholeTest, GeoLeashRejectsAndDetectsEveryTunneledFrame) {
   plan.wormhole.push_back(wormhole(kMouthA, kMouthB));
   InjectionEngine engine{world, plan, InjectionOptions{/*geo_leash=*/true}};
 
-  world.node(kSender).link_send(data_packet(kSender, kVictim), kVictim);
+  world.node(kSender).send(data_packet(kSender, kVictim), kVictim);
   world.run_until(2.0);
 
   // The replayed frame claims a transmitter 1150 m away; the leash knows
@@ -307,7 +307,7 @@ TEST_F(WormholeTest, ControlOnlyTunnelIgnoresDataTraffic) {
   plan.wormhole.push_back(rushing);
   InjectionEngine engine(world, plan);
 
-  world.node(kSender).link_send(data_packet(kSender, kVictim), kVictim);
+  world.node(kSender).send(data_packet(kSender, kVictim), kVictim);
   world.run_until(2.0);
 
   EXPECT_EQ(received_, 0);
@@ -332,7 +332,7 @@ TEST_F(WormholeTest, TunnelIsDeterministicAcrossRuns) {
     InjectionEngine engine(world, plan);
     for (int i = 0; i < 5; ++i) {
       world.sched().schedule_at(0.2 * i, [&world] {
-        world.node(kSender).link_send(data_packet(kSender, kVictim), kVictim);
+        world.node(kSender).send(data_packet(kSender, kVictim), kVictim);
       });
     }
     world.run_until(3.0);

@@ -1,7 +1,8 @@
 // In-process tests for the deployment-mode plumbing: SteadyClock timer
 // behavior and UdpHost loopback delivery — unicast dispatch, broadcast,
-// promiscuous overhearing, inbound filters, and malformed-datagram
-// rejection. The multi-process path is exercised by tools/testnet.
+// promiscuous overhearing, inbound and outbound filters, lineage, link
+// impairment, and malformed-datagram rejection. The multi-process path is
+// exercised by tools/testnet.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,10 +11,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "aodv/messages.hpp"
+#include "exp/env.hpp"
 #include "net/steady_clock.hpp"
 #include "net/udp.hpp"
 
@@ -220,6 +224,112 @@ TEST(UdpHostTest, FaultReorderSwapsAdjacentDatagrams) {
   EXPECT_EQ(arrived[0], 2u);
   EXPECT_EQ(arrived[1], 1u);
   EXPECT_EQ(a.metrics().counter_value("net.udp.fault_reordered"), 1.0);
+}
+
+// An explicit UdpConfig is the whole truth: the ICC_NET_* variables are
+// tools/icnode's to read, so setting them to 0 must not disarm a host
+// configured for certain loss.
+TEST(UdpHostTest, ExplicitImpairmentIgnoresEnvironment) {
+  struct ZeroedEnv {
+    const char* name;
+    std::string saved;  ///< "" when unset (an empty value reads as unset)
+    explicit ZeroedEnv(const char* n) : name{n}, saved{exp::env_string(n)} {
+      ::setenv(name, "0", 1);
+    }
+    ~ZeroedEnv() {
+      if (saved.empty()) {
+        ::unsetenv(name);
+      } else {
+        ::setenv(name, saved.c_str(), 1);
+      }
+    }
+  };
+  const ZeroedEnv loss{"ICC_NET_LOSS"};
+  const ZeroedEnv reorder{"ICC_NET_REORDER"};
+  const std::uint16_t base = test_base_port(7);
+  UdpConfig lossy{0, 2, base, 1};
+  lossy.fault_loss = 1.0;
+  UdpHost a{lossy};
+  for (int i = 0; i < 5; ++i) a.transport().send(data_packet(0, 1), 1);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.fault_dropped"), 5.0);
+}
+
+// kDrop and kConsumed both keep the frame off the wire (only the drop is
+// counted and traced); send_unfiltered bypasses the chain.
+TEST(UdpHostTest, OutboundFiltersGateTheWire) {
+  const std::uint16_t base = test_base_port(8);
+  UdpHost a{{0, 2, base, 1}};
+  UdpHost b{{1, 2, base, 1}};
+  sim::CollectingTraceSink sink;
+  a.tracer().add_sink(&sink, sim::Tracer::parse_mask("packet"));
+  FilterVerdict verdict = FilterVerdict::kDrop;
+  a.transport().add_outbound_filter([&verdict](const sim::Packet&, sim::NodeId) {
+    return verdict;
+  });
+  int delivered = 0;
+  b.transport().register_handler(sim::Port::kAodv,
+                                 [&](const sim::Packet&, sim::NodeId) { ++delivered; });
+
+  a.transport().send(data_packet(0, 1), 1);
+  verdict = FilterVerdict::kConsumed;
+  a.transport().send(data_packet(0, 1), 1);
+  for (int i = 0; i < 10; ++i) pump(b, 0.01);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.tx_frames"), 0.0);
+  EXPECT_EQ(a.metrics().counter_value("node.outbound_dropped"), 1.0);
+  ASSERT_EQ(sink.events().size(), 1u);
+  EXPECT_EQ(sink.events()[0].type, sim::TraceType::kPacketDrop);
+  EXPECT_STREQ(sink.events()[0].detail, "outbound_filter");
+
+  a.transport().send_unfiltered(data_packet(0, 1), 1);
+  for (int i = 0; i < 50 && delivered == 0; ++i) pump(b, 0.01);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(a.metrics().counter_value("net.udp.tx_frames"), 1.0);
+}
+
+// Lineage across processes: a send inside a LineageScope takes the scope's
+// span as its parent, a forwarded packet keeps its parent, and a handler's
+// reply descends from the packet it answers.
+TEST(UdpHostTest, LineageFollowsScopesForwardsAndReplies) {
+  const std::uint16_t base = test_base_port(9);
+  UdpHost a{{0, 3, base, 1}};
+  UdpHost b{{1, 3, base, 1}};
+  UdpHost c{{2, 3, base, 1}};
+  struct Seen {
+    std::uint64_t uid{0};
+    std::uint64_t parent{0};
+  };
+  Seen at_b;
+  Seen at_c;
+  Seen reply_at_a;
+  b.transport().register_handler(sim::Port::kAodv, [&](const sim::Packet& p, sim::NodeId from) {
+    at_b = {p.uid, p.parent};
+    b.transport().send(p, 2);                     // forward
+    b.transport().send(data_packet(1, 0), from);  // reply, a fresh packet
+  });
+  c.transport().register_handler(sim::Port::kAodv, [&](const sim::Packet& p, sim::NodeId) {
+    at_c = {p.uid, p.parent};
+  });
+  a.transport().register_handler(sim::Port::kAodv, [&](const sim::Packet& p, sim::NodeId) {
+    reply_at_a = {p.uid, p.parent};
+  });
+
+  constexpr std::uint64_t kCause = 42;
+  {
+    const LineageScope scope{a, kCause};
+    a.transport().send(data_packet(0, 1), 1);
+  }
+  for (int i = 0; i < 50 && (at_c.uid == 0 || reply_at_a.uid == 0); ++i) {
+    pump(b);
+    pump(c);
+    pump(a);
+  }
+  EXPECT_EQ(at_b.uid >> 40, 1u) << "uid drawn from the sender's namespace";
+  EXPECT_EQ(at_b.parent, kCause);
+  EXPECT_EQ(at_c.uid, at_b.uid);
+  EXPECT_EQ(at_c.parent, kCause);
+  EXPECT_EQ(reply_at_a.uid >> 40, 2u);
+  EXPECT_EQ(reply_at_a.parent, at_b.uid);
 }
 
 TEST(UdpHostTest, UidNamespacesNeverCollide) {

@@ -132,7 +132,7 @@ TEST(CarrierSense, RangeFollowsConfiguration) {
     p.port = sim::Port::kCbr;
     p.size_bytes = 1000;
     p.body = std::make_shared<DummyPayload>();
-    world.node(0).link_send(sim::Packet{p}, sim::kBroadcast);
+    world.node(0).send(sim::Packet{p}, sim::kBroadcast);
     world.run_until(0.001);  // node 0 now mid-transmission
     EXPECT_EQ(world.medium().busy_at(1), factor > 2.0) << "factor " << factor;
   }

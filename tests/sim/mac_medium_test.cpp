@@ -7,6 +7,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/world.hpp"
 
@@ -73,7 +75,7 @@ class MacMediumTest : public ::testing::Test {
 
 TEST_F(MacMediumTest, BroadcastReachesAllInRange) {
   World& world = build({{0, 0}, {100, 0}, {200, 0}, {600, 0}});
-  world.node(0).link_send(make_packet(0, kBroadcast, 7), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 7), kBroadcast);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 2u);  // nodes 1 and 2; node 3 out of range
   for (const Rx& rx : received_) {
@@ -84,7 +86,7 @@ TEST_F(MacMediumTest, BroadcastReachesAllInRange) {
 
 TEST_F(MacMediumTest, UnicastOnlyDeliversToTarget) {
   World& world = build({{0, 0}, {100, 0}, {200, 0}});
-  world.node(0).link_send(make_packet(0, 1, 9), 1);
+  world.node(0).send(make_packet(0, 1, 9), 1);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].at, 1u);
@@ -92,7 +94,7 @@ TEST_F(MacMediumTest, UnicastOnlyDeliversToTarget) {
 
 TEST_F(MacMediumTest, OutOfRangeNotDelivered) {
   World& world = build({{0, 0}, {900, 0}});
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(2.0);
   EXPECT_TRUE(received_.empty());
   EXPECT_GE(world.node(0).mac().unicast_failures(), 1u);
@@ -100,7 +102,7 @@ TEST_F(MacMediumTest, OutOfRangeNotDelivered) {
 
 TEST_F(MacMediumTest, UnicastRetransmitsUntilAcked) {
   World& world = build({{0, 0}, {100, 0}});
-  world.node(0).link_send(make_packet(0, 1, 5), 1);
+  world.node(0).send(make_packet(0, 1, 5), 1);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(world.node(0).mac().unicast_failures(), 0u);
@@ -117,7 +119,7 @@ TEST_F(MacMediumTest, ManyConcurrentSendersAllDeliverEventually) {
   }
   World& world = build(positions);
   for (NodeId i = 1; i <= 10; ++i) {
-    world.node(i).link_send(make_packet(i, 0, static_cast<int>(i)), 0);
+    world.node(i).send(make_packet(i, 0, static_cast<int>(i)), 0);
   }
   world.run_until(5.0);
   EXPECT_EQ(received_.size(), 10u);
@@ -129,8 +131,8 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
   World& world = build({{0, 0}, {200, 0}, {400, 0}}, 250.0);
   // Make carrier sensing useless for this geometry by using broadcast (no
   // retry) and identical start times.
-  world.node(0).link_send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
-  world.node(2).link_send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
+  world.node(2).send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
   world.run_until(1.0);
   // With the default cs_range factor 2.2 the nodes *can* carrier-sense each
   // other (550 m) — rebuild with factor 1.0 to force the hidden terminal.
@@ -146,8 +148,8 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
       got.push_back(p.body_as<TestPayload>()->value);
     });
   }
-  isolated.node(0).link_send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
-  isolated.node(2).link_send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
+  isolated.node(0).send(make_packet(0, kBroadcast, 1, 1000), kBroadcast);
+  isolated.node(2).send(make_packet(2, kBroadcast, 2, 1000), kBroadcast);
   isolated.run_until(1.0);
   // Node 1 sits between two colliding hidden terminals: it decodes neither.
   EXPECT_TRUE(got.empty());
@@ -157,19 +159,19 @@ TEST_F(MacMediumTest, HiddenTerminalsCollide) {
 TEST_F(MacMediumTest, DownNodeNeitherSendsNorReceives) {
   World& world = build({{0, 0}, {100, 0}});
   world.node(1).set_down(true);
-  world.node(0).link_send(make_packet(0, kBroadcast, 3), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 3), kBroadcast);
   world.run_until(1.0);
   EXPECT_TRUE(received_.empty());
   world.node(1).set_down(false);
   world.node(1).set_down(true);
-  world.node(1).link_send(make_packet(1, 0, 4), 0);
+  world.node(1).send(make_packet(1, 0, 4), 0);
   world.run_until(2.0);
   EXPECT_TRUE(received_.empty());
 }
 
 TEST_F(MacMediumTest, TransmissionChargesEnergy) {
   World& world = build({{0, 0}, {100, 0}});
-  world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 1), kBroadcast);
   world.run_until(1.0);
   EXPECT_GT(world.node(0).energy().tx_time(), 0.0);
   EXPECT_GT(world.node(1).energy().rx_time(), 0.0);
@@ -188,21 +190,34 @@ TEST_F(MacMediumTest, AirtimeMatchesSizeAndBitrate) {
 TEST_F(MacMediumTest, QueueDrainsInOrder) {
   World& world = build({{0, 0}, {100, 0}});
   for (int i = 0; i < 5; ++i) {
-    world.node(0).link_send(make_packet(0, 1, i), 1);
+    world.node(0).send(make_packet(0, 1, i), 1);
   }
   world.run_until(2.0);
   ASSERT_EQ(received_.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(received_[static_cast<std::size_t>(i)].value, i);
 }
 
+/// The `detail` of every packet_drop event in `events`, in order.
+std::vector<std::string> drop_details(const std::vector<TraceEvent>& events) {
+  std::vector<std::string> details;
+  for (const TraceEvent& e : events) {
+    if (e.type == TraceType::kPacketDrop) details.emplace_back(e.detail);
+  }
+  return details;
+}
+
 TEST_F(MacMediumTest, InboundFilterDropSuppressesDelivery) {
   World& world = build({{0, 0}, {100, 0}});
+  CollectingTraceSink sink;
+  world.tracer().add_sink(&sink, Tracer::parse_mask("packet"));
   world.node(1).add_inbound_filter([](const Packet&, NodeId) {
-    return FilterVerdict::kDrop;
+    return net::FilterVerdict::kDrop;
   });
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(world.metrics().counter_value("node.inbound_dropped"), 1.0);
+  EXPECT_EQ(drop_details(sink.events()), (std::vector<std::string>{"inbound_filter"}));
 }
 
 TEST_F(MacMediumTest, OutboundFilterConsumeStopsTransmission) {
@@ -210,23 +225,72 @@ TEST_F(MacMediumTest, OutboundFilterConsumeStopsTransmission) {
   int consumed = 0;
   world.node(0).add_outbound_filter([&consumed](const Packet&, NodeId) {
     ++consumed;
-    return FilterVerdict::kConsumed;
+    return net::FilterVerdict::kConsumed;
   });
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   EXPECT_EQ(consumed, 1);
   EXPECT_TRUE(received_.empty());
   EXPECT_EQ(world.medium().frames_sent(), 0u);
 }
 
+// A filtered send the chain drops is counted and traced; the unfiltered
+// send of the same packet bypasses the chain.
 TEST_F(MacMediumTest, UnfilteredSendBypassesOutboundFilters) {
   World& world = build({{0, 0}, {100, 0}});
+  CollectingTraceSink sink;
+  world.tracer().add_sink(&sink, Tracer::parse_mask("packet"));
   world.node(0).add_outbound_filter([](const Packet&, NodeId) {
-    return FilterVerdict::kDrop;
+    return net::FilterVerdict::kDrop;
   });
-  world.node(0).link_send_unfiltered(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(world.medium().frames_sent(), 0u);
+  EXPECT_EQ(world.metrics().counter_value("node.outbound_dropped"), 1.0);
+  EXPECT_EQ(drop_details(sink.events()), (std::vector<std::string>{"outbound_filter"}));
+
+  world.node(0).send_unfiltered(make_packet(0, 1, 1), 1);
+  world.run_until(2.0);
   EXPECT_EQ(received_.size(), 1u);
+  EXPECT_EQ(world.metrics().counter_value("node.outbound_dropped"), 1.0);
+}
+
+// A node that goes down while a frame is on the air still finishes the
+// reception: it traces packet_rx for a frame addressed to it, but sends no
+// ack and runs no handler, and a down overhearer runs no listener.
+TEST_F(MacMediumTest, NodeDownMidReceptionTracesRxButNeitherAcksNorHandles) {
+  World& world = build({{0, 0}, {100, 0}, {0, 100}});
+  CollectingTraceSink sink;
+  world.tracer().add_sink(&sink, Tracer::parse_mask("packet"));
+  int overheard = 0;
+  world.node(2).add_promiscuous_listener([&overheard](const Frame&) { ++overheard; });
+  Time frame_start = -1.0;
+  world.medium().set_delivery_filter([&](const Frame& frame, NodeId, Time now) {
+    if (frame_start < 0.0 && !frame.is_ack) {
+      frame_start = now;
+      world.sched().schedule_in(1e-4, [&world] {
+        world.node(1).set_down(true);
+        world.node(2).set_down(true);
+      });
+    }
+    return DeliveryVerdict::kDeliver;
+  });
+  world.node(0).send(make_packet(0, 1, 1), 1);
+  world.run_until(1.0);
+
+  ASSERT_GE(frame_start, 0.0);
+  std::vector<TraceEvent> rx;
+  for (const TraceEvent& e : sink.events()) {
+    if (e.type == TraceType::kPacketRx) rx.push_back(e);
+  }
+  ASSERT_EQ(rx.size(), 1u);
+  EXPECT_EQ(rx[0].node, 1u);
+  EXPECT_DOUBLE_EQ(rx[0].t, frame_start + world.node(0).mac().frame_airtime(100));
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(overheard, 0);
+  EXPECT_DOUBLE_EQ(world.node(1).energy().tx_time(), 0.0);  // no ack went out
+  EXPECT_EQ(world.node(0).mac().unicast_failures(), 1u);
 }
 
 // All receivers of a frame finish decoding at one instant, so the medium
@@ -237,7 +301,7 @@ TEST_F(MacMediumTest, OneReceptionEndEventPerFrame) {
   for (const std::size_t receivers : {1u, 5u, 12u}) {
     World& world = build_star(receivers + 1);
     received_.clear();
-    world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+    world.node(0).send(make_packet(0, kBroadcast, 1), kBroadcast);
     world.run_until(1.0);
     ASSERT_EQ(received_.size(), receivers);
     events.push_back(world.sched().executed());
@@ -270,7 +334,7 @@ TEST_F(MacMediumTest, ReceptionsEndInNodeIdOrderBeforeTxDone) {
     at.push_back(world.now());
     tx_queue.push_back(world.node(2).mac().queue_depth());
   };
-  world.node(2).link_send(make_packet(2, kBroadcast, 1), kBroadcast);
+  world.node(2).send(make_packet(2, kBroadcast, 1), kBroadcast);
   world.run_until(1.0);
   EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 3, 4}));
   for (const Time t : at) EXPECT_EQ(t, at.front());
@@ -286,7 +350,7 @@ TEST_F(MacMediumTest, CorruptedReceiverLeavesTheRestOfTheBatch) {
   world.medium().set_delivery_filter([](const Frame&, NodeId rx, Time) {
     return rx == 2 ? DeliveryVerdict::kCorrupt : DeliveryVerdict::kDeliver;
   });
-  world.node(0).link_send(make_packet(0, kBroadcast, 1), kBroadcast);
+  world.node(0).send(make_packet(0, kBroadcast, 1), kBroadcast);
   world.run_until(1.0);
   std::vector<NodeId> got;
   for (const Rx& rx : received_) got.push_back(rx.at);
@@ -298,7 +362,7 @@ TEST_F(MacMediumTest, CorruptedReceiverLeavesTheRestOfTheBatch) {
 // Every event of an acked unicast, the SIFS ack included, is MAC work.
 TEST_F(MacMediumTest, AckEventCountsUnderMac) {
   World& world = build({{0, 0}, {100, 0}});
-  world.node(0).link_send(make_packet(0, 1, 1), 1);
+  world.node(0).send(make_packet(0, 1, 1), 1);
   world.run_until(1.0);
   ASSERT_EQ(received_.size(), 1u);
   ASSERT_EQ(world.medium().frames_sent(), 2u);  // the data frame and its ack

@@ -21,6 +21,10 @@
 //   --flows K       CBR flows between correct nodes  [2]
 //   --defense D     icc | watchdog | none            [icc]
 //   --report PATH   RunReport JSON path              [stdout]
+// Link impairment, by environment only (strict-parsed; a malformed value
+// aborts and a value outside [0, 1] exits 2, each naming the variable):
+//   ICC_NET_LOSS     per-datagram drop probability     [0]
+//   ICC_NET_REORDER  per-datagram one-slot reorder     [0]
 //
 // SIGINT/SIGTERM stop the run loop at the next iteration; the RunReport,
 // any trace sinks, and the flight recorder are still flushed, and the
@@ -43,6 +47,7 @@
 #include "core/framework.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
+#include "exp/env.hpp"
 #include "fault/ledger.hpp"
 #include "fault/plan.hpp"
 #include "net/udp.hpp"
@@ -141,6 +146,16 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
+/// A link-impairment probability from the environment, 0 when unset.
+double env_probability(const char* name) {
+  const double p = icc::exp::env_double(name, 0.0);
+  if (!(p >= 0.0 && p <= 1.0)) {
+    std::fprintf(stderr, "icnode: %s=%g is outside [0, 1]\n", name, p);
+    std::exit(2);
+  }
+  return p;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,6 +173,8 @@ int main(int argc, char** argv) {
   // protocols' bookkeeping.
   const double angle = 6.283185307179586 * opt.id / opt.num_nodes;
   net_config.position = {500.0 + 50.0 * std::cos(angle), 500.0 + 50.0 * std::sin(angle)};
+  net_config.fault_loss = env_probability("ICC_NET_LOSS");
+  net_config.fault_reorder = env_probability("ICC_NET_REORDER");
 
   icc::net::UdpHost host{net_config};
   g_host = &host;
@@ -249,15 +266,7 @@ int main(int argc, char** argv) {
   report.add_metrics(host.metrics());
 
   const icc::fault::CoverageLedger ledger{host.metrics()};
-  const auto rows = ledger.rows();
-  for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-    std::string base = "coverage.";
-    base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
-    report.add_counter(base + ".injected", static_cast<double>(rows[c].injected));
-    report.add_counter(base + ".detected", static_cast<double>(rows[c].detected));
-    report.add_counter(base + ".neutralized", static_cast<double>(rows[c].neutralized));
-    report.add_counter(base + ".escaped", static_cast<double>(rows[c].escaped));
-  }
+  ledger.add_to_report(report);
   report.add_gauge("coverage.consistent", ledger.consistent() ? 1.0 : 0.0);
 
   if (opt.report.empty()) {
