@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "sensor/experiment.hpp"
 #include "sim/report.hpp"
@@ -94,16 +95,12 @@ int main() {
   table("false alarm probability [%]", "false_alarm", 100.0);
   table("miss alarm probability [%]", "miss_prob", 100.0);
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "ablation_fusion");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "ablation_fusion");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  icc::exp::write_report_from_env(report);
   return 0;
 }

@@ -14,6 +14,7 @@
 
 #include "aodv/blackhole_experiment.hpp"
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "sim/report.hpp"
 
@@ -74,16 +75,12 @@ int main() {
   std::printf("\n(One-hop circles collapse once L exceeds the sparse neighborhood size;\n"
               " two-hop circles keep high levels feasible at extra relay energy.)\n");
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "ablation_two_hop");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "ablation_two_hop");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  icc::exp::write_report_from_env(report);
   return 0;
 }

@@ -22,6 +22,7 @@
 
 #include "aodv/blackhole_experiment.hpp"
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/seed.hpp"
 #include "fault/ledger.hpp"
 #include "fault/plan.hpp"
@@ -32,7 +33,7 @@ namespace {
 
 struct PlanOutcome {
   bool consistent{true};
-  std::array<icc::fault::CoverageRow, icc::fault::kNumFaultClasses> coverage{};
+  icc::fault::CoverageRows coverage{};
   std::array<std::uint64_t, icc::fault::kNumAttackKinds> kind_injected{};
 };
 
@@ -98,10 +99,7 @@ PlanOutcome run_one(std::uint64_t plan_seed, int nodes, double sim_time) {
     const icc::sensor::SensorExperimentResult s = icc::sensor::run_sensor_experiment(sensor_config);
     outcome.consistent = outcome.consistent && s.coverage_consistent;
     for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      outcome.coverage[c].injected += s.coverage[c].injected;
-      outcome.coverage[c].detected += s.coverage[c].detected;
-      outcome.coverage[c].neutralized += s.coverage[c].neutralized;
-      outcome.coverage[c].escaped += s.coverage[c].escaped;
+      outcome.coverage[c] += s.coverage[c];
     }
   }
   return outcome;
@@ -128,7 +126,7 @@ int main() {
   std::printf("chaos soak: %zu randomized fault plan(s), %d nodes, %.0f s each\n\n",
               seeds.size(), nodes, sim_time);
 
-  icc::fault::CoverageRow totals[icc::fault::kNumFaultClasses];
+  icc::fault::CoverageRows totals{};
   std::array<std::uint64_t, icc::fault::kNumAttackKinds> kind_totals{};
   std::vector<std::uint64_t> failing;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -145,10 +143,7 @@ int main() {
     }
     const PlanOutcome outcome = run_one(seed, nodes, sim_time);
     for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      totals[c].injected += outcome.coverage[c].injected;
-      totals[c].detected += outcome.coverage[c].detected;
-      totals[c].neutralized += outcome.coverage[c].neutralized;
-      totals[c].escaped += outcome.coverage[c].escaped;
+      totals[c] += outcome.coverage[c];
     }
     for (std::size_t k = 0; k < icc::fault::kNumAttackKinds; ++k) {
       kind_totals[k] += outcome.kind_injected[k];
@@ -180,36 +175,24 @@ int main() {
                 static_cast<unsigned long long>(kind_totals[k]));
   }
 
-  // Aggregate ledger as a RunReport, same gauge names CoverageLedger uses
+  // Aggregate ledger as a RunReport, through the writer CoverageLedger uses
   // for single runs — one schema whether you look at a run or the soak.
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "chaos_soak");
-    report.set_meta("plans", static_cast<std::uint64_t>(seeds.size()));
-    report.set_meta("nodes", nodes);
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", base_seed);
-    report.set_meta("ledger_consistent", static_cast<std::uint64_t>(failing.empty() ? 1 : 0));
-    for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      std::string base = "fault.";
-      base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
-      base += ".coverage.";
-      report.add_gauge(base + "injected", static_cast<double>(totals[c].injected));
-      report.add_gauge(base + "detected", static_cast<double>(totals[c].detected));
-      report.add_gauge(base + "neutralized", static_cast<double>(totals[c].neutralized));
-      report.add_gauge(base + "escaped", static_cast<double>(totals[c].escaped));
-    }
-    for (std::size_t k = 0; k < icc::fault::kNumAttackKinds; ++k) {
-      const auto kind = static_cast<icc::fault::AttackKind>(k);
-      if (!icc::fault::attack_kind_booked(kind)) continue;
-      report.add_gauge(std::string("fault.kind.") + icc::fault::attack_kind_name(kind) +
-                           ".injected",
-                       static_cast<double>(kind_totals[k]));
-    }
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "chaos_soak");
+  report.set_meta("plans", static_cast<std::uint64_t>(seeds.size()));
+  report.set_meta("nodes", nodes);
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", base_seed);
+  report.set_meta("ledger_consistent", static_cast<std::uint64_t>(failing.empty() ? 1 : 0));
+  icc::fault::add_coverage_to_report(totals, report);
+  for (std::size_t k = 0; k < icc::fault::kNumAttackKinds; ++k) {
+    const auto kind = static_cast<icc::fault::AttackKind>(k);
+    if (!icc::fault::attack_kind_booked(kind)) continue;
+    report.add_gauge(std::string("fault.kind.") + icc::fault::attack_kind_name(kind) +
+                         ".injected",
+                     static_cast<double>(kind_totals[k]));
   }
+  icc::exp::write_report_from_env(report);
 
   if (!failing.empty()) {
     std::printf("\n%zu plan(s) FAILED the ledger invariant; reproduce with:\n",

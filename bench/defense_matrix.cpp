@@ -30,6 +30,7 @@
 
 #include "aodv/blackhole_experiment.hpp"
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/seed.hpp"
 #include "fault/ledger.hpp"
 #include "fault/plan.hpp"
@@ -231,12 +232,7 @@ int main() {
             icc::aodv::run_blackhole_experiment(config);
 
         icc::fault::CoverageRow sum;
-        for (const icc::fault::CoverageRow& row : r.coverage) {
-          sum.injected += row.injected;
-          sum.detected += row.detected;
-          sum.neutralized += row.neutralized;
-          sum.escaped += row.escaped;
-        }
+        for (const icc::fault::CoverageRow& row : r.coverage) sum += row;
         const double detection_rate =
             sum.injected > 0
                 ? static_cast<double>(sum.detected) / static_cast<double>(sum.injected)
@@ -271,12 +267,7 @@ int main() {
   }
 
   report.set_meta("ledger_consistent", static_cast<std::uint64_t>(all_consistent ? 1 : 0));
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-      return 1;
-    }
-  }
+  icc::exp::write_report_from_env(report);
 
   if (!all_consistent) {
     std::printf("\nat least one cell FAILED the coverage-ledger invariant\n");

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "sensor/experiment.hpp"
 #include "sim/report.hpp"
@@ -104,20 +105,14 @@ inline void run_fig8(const char* experiment, double kt, int runs, double sim_tim
 
   // Structured export: per (config, fault) cell, the cross-run series for
   // the headline metrics. ICC_JSON selects the path (".csv" => CSV).
-  if (const std::string json_path = exp::env_string("ICC_JSON"); !json_path.empty()) {
-    sim::RunReport report;
-    report.set_meta("experiment", experiment);
-    report.set_meta("kt", kt);
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    result.add_to_report(report);
-    if (report.write_file(json_path)) {
-      std::printf("report written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  sim::RunReport report;
+  report.set_meta("experiment", experiment);
+  report.set_meta("kt", kt);
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  result.add_to_report(report);
+  exp::write_report_from_env(report);
 }
 
 }  // namespace icc::bench

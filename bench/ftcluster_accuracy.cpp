@@ -19,6 +19,7 @@
 #include <string>
 
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "fusion/ft_cluster.hpp"
 #include "fusion/ft_mean.hpp"
 #include "sim/report.hpp"
@@ -112,12 +113,6 @@ int main() {
       " pull the whole cluster onto itself, a regime outside the paper's analysis —\n"
       " see EXPERIMENTS.md.)\n");
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("\nreport written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::exp::write_report_from_env(report);
   return 0;
 }

@@ -14,6 +14,7 @@
 
 #include "core/framework.hpp"
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
 #include "sim/report.hpp"
@@ -142,12 +143,6 @@ int main() {
   report.add_gauge("crypto_ablation.hardware.latency_ms", hw.latency_ms);
   report.add_gauge("crypto_ablation.software.latency_ms", sw.latency_ms);
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    if (report.write_file(json_path)) {
-      std::printf("\nreport written to %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::exp::write_report_from_env(report);
   return 0;
 }

@@ -25,6 +25,7 @@
 
 #include "aodv/blackhole_experiment.hpp"
 #include "exp/env.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "sim/report.hpp"
 
@@ -108,17 +109,13 @@ int main() {
     traffic = false;
   }
 
-  if (const std::string json_path = icc::exp::env_string("ICC_JSON"); !json_path.empty()) {
-    icc::sim::RunReport report;
-    report.set_meta("experiment", "scale_sweep");
-    report.set_meta("runs", static_cast<std::uint64_t>(runs));
-    report.set_meta("sim_time_s", sim_time);
-    report.set_meta("seed", campaign.base_seed);
-    report.set_meta("host_cpus", static_cast<std::uint64_t>(host_cpus));
-    result.add_to_report(report);
-    if (!report.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write report to %s\n", json_path.c_str());
-    }
-  }
+  icc::sim::RunReport report;
+  report.set_meta("experiment", "scale_sweep");
+  report.set_meta("runs", static_cast<std::uint64_t>(runs));
+  report.set_meta("sim_time_s", sim_time);
+  report.set_meta("seed", campaign.base_seed);
+  report.set_meta("host_cpus", static_cast<std::uint64_t>(host_cpus));
+  result.add_to_report(report);
+  icc::exp::write_report_from_env(report);
   return traffic ? 0 : 1;
 }

@@ -82,8 +82,8 @@ CoverageRow CoverageLedger::row(FaultClass c) const {
   return r;
 }
 
-std::array<CoverageRow, kNumFaultClasses> CoverageLedger::rows() const {
-  std::array<CoverageRow, kNumFaultClasses> out{};
+CoverageRows CoverageLedger::rows() const {
+  CoverageRows out{};
   for (std::size_t c = 0; c < kNumFaultClasses; ++c) out[c] = row(static_cast<FaultClass>(c));
   return out;
 }
@@ -115,12 +115,11 @@ bool CoverageLedger::consistent() const {
   return true;
 }
 
-void CoverageLedger::add_to_report(sim::RunReport& report) const {
+void add_coverage_to_report(const CoverageRows& rows, sim::RunReport& report) {
   for (std::size_t ci = 0; ci < kNumFaultClasses; ++ci) {
-    const auto c = static_cast<FaultClass>(ci);
-    const CoverageRow r = row(c);
+    const CoverageRow& r = rows[ci];
     std::string base = "fault.";
-    base += fault_class_name(c);
+    base += fault_class_name(static_cast<FaultClass>(ci));
     base += ".coverage.";
     report.add_gauge(base + "injected", static_cast<double>(r.injected));
     report.add_gauge(base + "detected", static_cast<double>(r.detected));

@@ -81,7 +81,23 @@ struct CoverageRow {
   std::uint64_t detected{0};     ///< capped at injected
   std::uint64_t neutralized{0};  ///< capped at detected
   std::uint64_t escaped{0};      ///< injected - detected
+
+  /// Sum another row into this one (aggregating runs or classes).
+  CoverageRow& operator+=(const CoverageRow& other) {
+    injected += other.injected;
+    detected += other.detected;
+    neutralized += other.neutralized;
+    escaped += other.escaped;
+    return *this;
+  }
 };
+
+using CoverageRows = std::array<CoverageRow, kNumFaultClasses>;
+
+/// Write `rows` into `report` as gauges
+/// `fault.<class>.coverage.{injected,detected,neutralized,escaped}` — the one
+/// schema for a run's ledger and for rows summed over many runs.
+void add_coverage_to_report(const CoverageRows& rows, sim::RunReport& report);
 
 /// Read-only view over a metrics registry's fault counters. Constructible
 /// from a World (the usual simulator path) or from a bare registry (testnet
@@ -92,17 +108,16 @@ class CoverageLedger {
   explicit CoverageLedger(const sim::MetricsRegistry& metrics) : metrics_{metrics} {}
 
   [[nodiscard]] CoverageRow row(FaultClass c) const;
-  [[nodiscard]] std::array<CoverageRow, kNumFaultClasses> rows() const;
+  [[nodiscard]] CoverageRows rows() const;
 
   /// Accounting invariants, checked after a run (the chaos soak gates on
   /// this): per class, the per-node counters sum to the class total for
   /// each stage, and injected == detected + escaped in the derived row.
   [[nodiscard]] bool consistent() const;
 
-  /// Write the derived rows into `report` as gauges
-  /// `fault.<class>.coverage.{injected,detected,neutralized,escaped}` so a
-  /// report carries the ledger alongside (or without) the raw registry.
-  void add_to_report(sim::RunReport& report) const;
+  /// add_coverage_to_report(rows(), report): a report carries the ledger
+  /// alongside (or without) the raw registry.
+  void add_to_report(sim::RunReport& report) const { add_coverage_to_report(rows(), report); }
 
  private:
   const sim::MetricsRegistry& metrics_;

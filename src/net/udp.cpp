@@ -29,12 +29,18 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 
 constexpr std::size_t kMaxDatagram = 65507;
 
-// Deployment-mode setup errors are real runtime failures (port in use, fd
-// limits), not debug invariants — fail unconditionally, not via ICC_CHECK,
-// which compiles out in Release.
-[[noreturn]] void fatal(const char* msg) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): abort path; nothing races a process that is about to die
-  std::fprintf(stderr, "net: fatal: %s (errno: %s)\n", msg, std::strerror(errno));
+// Deployment-mode setup errors are real runtime failures (a bad
+// configuration, port in use, fd limits), not debug invariants — fail
+// unconditionally, not via ICC_CHECK, which compiles out in Release. `err`
+// is the errno of a failed system call; configuration errors pass 0, since
+// whatever errno holds then is stale.
+[[noreturn]] void fatal(const char* msg, int err = 0) {
+  if (err != 0) {
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): abort path; nothing races a dying process
+    std::fprintf(stderr, "net: fatal: %s (errno: %s)\n", msg, std::strerror(err));
+  } else {
+    std::fprintf(stderr, "net: fatal: %s\n", msg);
+  }
   std::abort();
 }
 
@@ -62,11 +68,11 @@ UdpHost::UdpHost(UdpConfig config)
     fault_rng_ = rng_.fork(0xFA171ull);
   }
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-  if (fd_ < 0) fatal("udp socket creation failed");
+  if (fd_ < 0) fatal("udp socket creation failed", errno);
   const sockaddr_in addr =
       loopback_addr(static_cast<std::uint16_t>(config_.base_port + config_.id));
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    fatal("udp bind failed (port already in use?)");
+    fatal("udp bind failed (port already in use?)", errno);
   }
   rx_scratch_.resize(kMaxDatagram);
 }

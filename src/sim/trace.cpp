@@ -251,8 +251,13 @@ void Tracer::configure_from_env() {
     add_owned_sink(std::make_unique<PerfettoTraceSink>(out), kAllTraceCategories);
   }
   if (exp::env_int("ICC_FLIGHT", 0) != 0) {
-    const int records = exp::env_int("ICC_FLIGHT_RECORDS", 0);
-    enable_flight(records > 0 ? static_cast<std::size_t>(records) : kDefaultFlightRecords,
+    const int records =
+        exp::env_int("ICC_FLIGHT_RECORDS", static_cast<int>(kDefaultFlightRecords));
+    if (records < 1) {
+      exp::env_fail("ICC_FLIGHT_RECORDS", exp::env_string("ICC_FLIGHT_RECORDS").c_str(),
+                    "ring size (at least 1 record)");
+    }
+    enable_flight(static_cast<std::size_t>(records),
                   exp::env_string("ICC_FLIGHT_DUMP", "icc_flight"));
   }
 }

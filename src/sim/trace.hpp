@@ -10,8 +10,9 @@
 // Hot-path contract: with tracing disabled (no `ICC_TRACE`, no sinks) an
 // emission is a single mask test on an integer — no string formatting, no
 // allocation, no virtual dispatch. Events carry only POD fields plus an
-// optional `detail` that must point at a string literal, so constructing one
-// never allocates either.
+// optional `detail` that must point at a string literal (or an entry of a
+// static name table), so constructing one never allocates either, and the
+// flight recorder can keep the pointer for the life of the process.
 //
 // Lineage: every originated packet carries a span id (its uid) and a parent
 // span linking it to the event that caused it — the received RREQ a node
@@ -40,8 +41,8 @@
 //                   The ICC_TRACE sink keeps its own categories.
 //   ICC_FLIGHT      enable the always-on in-memory flight recorder
 //                   (sim/flight.hpp), a sink of every category;
-//                   ICC_FLIGHT_RECORDS sizes the ring, ICC_FLIGHT_DUMP sets
-//                   the dump path prefix.
+//                   ICC_FLIGHT_RECORDS sizes the ring (at least 1 record;
+//                   less aborts), ICC_FLIGHT_DUMP sets the dump path prefix.
 #pragma once
 
 #include <cstdint>

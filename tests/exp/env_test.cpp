@@ -127,5 +127,17 @@ TEST_F(SimKnobTest, FlightRecordsTypoAborts) {
                "ICC_FLIGHT_RECORDS='1O' is not a valid integer");
 }
 
+// A ring needs at least one slot: zero or a negative size aborts instead of
+// quietly becoming the default.
+TEST_F(SimKnobTest, FlightRecordsBelowOneAborts) {
+  ::setenv("ICC_FLIGHT", "1", 1);
+  ::setenv("ICC_FLIGHT_RECORDS", "0", 1);
+  EXPECT_DEATH(sim::World{sim::WorldConfig{}},
+               "ICC_FLIGHT_RECORDS='0' is not a valid ring size");
+  ::setenv("ICC_FLIGHT_RECORDS", "-5", 1);
+  EXPECT_DEATH(sim::World{sim::WorldConfig{}},
+               "ICC_FLIGHT_RECORDS='-5' is not a valid ring size");
+}
+
 }  // namespace
 }  // namespace icc::exp

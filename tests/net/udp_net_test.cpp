@@ -254,6 +254,14 @@ TEST(UdpHostTest, ExplicitImpairmentIgnoresEnvironment) {
   EXPECT_EQ(a.metrics().counter_value("net.udp.fault_dropped"), 5.0);
 }
 
+// A configuration error names the setting and ends there: errno belongs to
+// socket and bind failures, and whatever it holds before them is stale.
+TEST(UdpHostDeathTest, OutOfRangeLossCarriesNoErrno) {
+  UdpConfig config{0, 2, test_base_port(12), 1};
+  config.fault_loss = 2.0;
+  EXPECT_DEATH(UdpHost{config}, "net: fatal: UdpConfig::fault_loss outside \\[0, 1\\]\n$");
+}
+
 // kDrop and kConsumed both keep the frame off the wire (only the drop is
 // counted and traced); send_unfiltered bypasses the chain.
 TEST(UdpHostTest, OutboundFiltersGateTheWire) {

@@ -1,11 +1,11 @@
-// Flight-recorder tests: ring wrap-around, detail interning, the mask
-// independence of the always-on ring, binary dump round-trips, and graceful
-// rejection of corrupt dumps.
+// Flight-recorder tests: ring wrap-around, the mask independence of the
+// always-on ring, the JSONL dump round trip, and the Perfetto dump. The
+// JSONL dump is also checked against a live trace in
+// tests/tools/tracq_test.cpp, where tracq loads it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,35 +25,12 @@ TEST(FlightRecorder, RingKeepsNewestOldestFirst) {
   FlightRecorder recorder{4, temp_path("flight_ring")};
   for (std::uint64_t i = 1; i <= 6; ++i) recorder.on_event(event_at(0.1 * i, i));
   EXPECT_EQ(recorder.total_emitted(), 6u);
-  const std::vector<FlightRecord> ring = recorder.snapshot();
+  const std::vector<TraceEvent> ring = recorder.snapshot();
   ASSERT_EQ(ring.size(), 4u);  // capacity, not total
   // Oldest surviving record is uid 3 (1 and 2 were overwritten).
   for (std::size_t i = 0; i < ring.size(); ++i) {
     EXPECT_EQ(ring[i].uid, i + 3);
   }
-}
-
-TEST(FlightRecorder, DetailInterningIsStableAndCompact) {
-  FlightRecorder recorder{8, temp_path("flight_intern")};
-  recorder.on_event(event_at(0.1, 1, "no_route"));
-  recorder.on_event(event_at(0.2, 2, "blackhole"));
-  recorder.on_event(event_at(0.3, 3, "no_route"));
-  recorder.on_event(event_at(0.4, 4, nullptr));
-  const std::vector<FlightRecord> ring = recorder.snapshot();
-  ASSERT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring[0].detail_id, ring[2].detail_id);       // same literal, same id
-  EXPECT_NE(ring[0].detail_id, ring[1].detail_id);
-  EXPECT_EQ(ring[3].detail_id, 0u);                      // no detail -> id 0
-  EXPECT_EQ(recorder.detail(ring[0].detail_id), "no_route");
-  EXPECT_EQ(recorder.detail(0), "");
-
-  // to_event reconstructs the original, detail included.
-  const TraceEvent back = recorder.to_event(ring[1]);
-  EXPECT_EQ(back.type, TraceType::kPacketTx);
-  EXPECT_EQ(back.uid, 2u);
-  EXPECT_STREQ(back.detail, "blackhole");
-  EXPECT_EQ(back.span, 2u);
-  EXPECT_EQ(back.parent, 1u);
 }
 
 TEST(FlightRecorder, SeesAllCategoriesButNeverLeaksIntoSinks) {
@@ -76,57 +53,33 @@ TEST(FlightRecorder, SeesAllCategoriesButNeverLeaksIntoSinks) {
   EXPECT_EQ(sink.events().size(), 1u);
 }
 
-TEST(FlightRecorder, BinaryDumpRoundTrips) {
-  const std::string path = temp_path("flight_roundtrip.icfr");
+TEST(FlightRecorder, JsonlDumpRoundTrips) {
+  const std::string path = temp_path("flight_roundtrip.jsonl");
   FlightRecorder recorder{8, temp_path("flight_roundtrip")};
   for (std::uint64_t i = 1; i <= 12; ++i) {
     recorder.on_event(event_at(0.25 * static_cast<double>(i), i, i % 2 ? "odd" : "even"));
   }
-  ASSERT_TRUE(recorder.dump_binary(path));
+  EXPECT_EQ(recorder.total_emitted(), 12u);
+  ASSERT_TRUE(recorder.dump_jsonl(path));
 
-  std::string error;
-  const auto dump = FlightRecorder::read_file(path, error);
-  ASSERT_TRUE(dump.has_value()) << error;
-  EXPECT_EQ(dump->total_emitted, 12u);
-  ASSERT_EQ(dump->records.size(), 8u);
-  const std::vector<FlightRecord> ring = recorder.snapshot();
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(dump->records[i].uid, ring[i].uid);
-    EXPECT_DOUBLE_EQ(dump->records[i].t, ring[i].t);
-    EXPECT_EQ(dump->details.at(dump->records[i].detail_id),
-              recorder.detail(ring[i].detail_id));
+  // One line per surviving event, oldest first, every field written back.
+  std::ifstream in{path};
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 8u);  // capacity, not total
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::uint64_t uid = i + 5;  // 1..4 were overwritten
+    char expected[256];
+    std::snprintf(expected, sizeof expected,
+                  "{\"t\":%.9f,\"type\":\"packet_tx\",\"cat\":\"packet\",\"node\":1,"
+                  "\"peer\":2,\"uid\":%llu,\"size\":100,\"value\":0.5,\"span\":%llu,"
+                  "\"parent\":%llu,\"detail\":\"%s\"}",
+                  0.25 * static_cast<double>(uid), static_cast<unsigned long long>(uid),
+                  static_cast<unsigned long long>(uid), static_cast<unsigned long long>(uid - 1),
+                  uid % 2 ? "odd" : "even");
+    EXPECT_EQ(lines[i], expected);
   }
   std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, TruncatedDumpIsRejectedWithError) {
-  const std::string path = temp_path("flight_truncated.icfr");
-  FlightRecorder recorder{8, temp_path("flight_truncated")};
-  for (std::uint64_t i = 1; i <= 8; ++i) recorder.on_event(event_at(0.1 * i, i, "detail"));
-  ASSERT_TRUE(recorder.dump_binary(path));
-
-  // Chop the file mid-records: the reader must fail with a message, not
-  // crash or return a partial dump.
-  std::ifstream in{path, std::ios::binary};
-  std::string bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  in.close();
-  ASSERT_GT(bytes.size(), 40u);
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  out.close();
-
-  std::string error;
-  const auto dump = FlightRecorder::read_file(path, error);
-  EXPECT_FALSE(dump.has_value());
-  EXPECT_FALSE(error.empty());
-  std::remove(path.c_str());
-}
-
-TEST(FlightRecorder, BadMagicIsRejected) {
-  std::istringstream in{"NOPE....garbage...."};
-  std::string error;
-  EXPECT_FALSE(FlightRecorder::read(in, error).has_value());
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(FlightRecorder, PerfettoDumpIsWellFormedJson) {

@@ -1,13 +1,16 @@
-// tracq tests: JSONL/.icfr loading, lineage reconstruction, and the diff
-// contract the determinism workflow depends on — identical pair reports no
-// divergence, a single mutated record is pinpointed exactly, and corrupt
-// input fails gracefully.
+// tracq tests: JSONL loading (live traces and flight-recorder dumps alike),
+// lineage reconstruction, and the diff contract the determinism workflow
+// depends on — identical pair reports no divergence, a single mutated record
+// is pinpointed exactly, and corrupt input fails gracefully.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "sim/flight.hpp"
 
 #define TRACQ_NO_MAIN
 #include "tools/tracq.cpp"
@@ -150,36 +153,72 @@ TEST(TracqDiff, LengthMismatchDivergesAtTheTail) {
   std::remove(b.c_str());
 }
 
-TEST(TracqFlight, LoadsBinaryDumpAndRejectsTruncation) {
-  const std::string path = temp_path("tracq_flight.icfr");
-  sim::FlightRecorder recorder{8, temp_path("tracq_flight")};
-  recorder.on_event({0.5, sim::TraceType::kPacketTx, 3, 7, 42, 512, 0.0, "hop", 42, 17});
-  ASSERT_TRUE(recorder.dump_binary(path));
-
+// A writer killed mid-line leaves a record without its closing brace. The
+// loader refuses it, naming the file and line, instead of handing it on as
+// a record; so it does a whole record of a type this build does not know.
+TEST(TracqLoad, CutLineIsALoadErrorNamingFileAndLine) {
+  const std::string path = temp_path("tracq_cut.jsonl");
+  std::string cut{kChainTrace};
+  cut.erase(cut.rfind("\"parent\":9"));  // the fifth record loses its tail
+  write_file(path, cut);
   std::string error;
-  const auto trace = load(path, error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  EXPECT_TRUE(trace->from_flight);
-  ASSERT_EQ(trace->records.size(), 1u);
-  const Record& r = trace->records[0];
-  EXPECT_EQ(r.type, "packet_tx");
-  EXPECT_EQ(r.node, 3u);
-  EXPECT_EQ(r.span, 42u);
-  EXPECT_EQ(r.parent, 17u);
-  EXPECT_EQ(r.detail, "hop");
-  // The canonical line matches what a live JsonlTraceSink would have
-  // written, so JSONL-vs-.icfr diffs compare like for like.
-  EXPECT_NE(r.line.find("\"type\":\"packet_tx\""), std::string::npos);
+  EXPECT_FALSE(load(path, error).has_value());
+  EXPECT_NE(error.find(path + ":5:"), std::string::npos) << error;
 
-  // Truncation surfaces as a load error, not a crash or a partial trace.
-  std::ifstream in{path, std::ios::binary};
-  std::string bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  in.close();
-  write_file(path, bytes.substr(0, bytes.size() / 2));
+  write_file(path,
+             "{\"t\":1.000000000,\"type\":\"no_such_type\",\"cat\":\"packet\",\"node\":0}\n");
   error.clear();
   EXPECT_FALSE(load(path, error).has_value());
-  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find(path + ":1:"), std::string::npos) << error;
   std::remove(path.c_str());
+}
+
+// The flight recorder renders its ring through the JsonlTraceSink a live
+// trace uses, so a dump is the live trace's last `capacity` lines, byte for
+// byte, and tracq reads and diffs it like any other trace.
+TEST(TracqFlight, DumpEqualsTheLiveTraceTail) {
+  constexpr std::size_t kCapacity = 16;
+  constexpr std::size_t kEvents = 3 * kCapacity + 5;  // the ring wraps
+  std::ostringstream live;
+  sim::JsonlTraceSink sink{live};
+  sim::Tracer tracer;
+  tracer.add_sink(&sink, sim::kAllTraceCategories);
+  tracer.enable_flight(kCapacity, temp_path("tracq_flight"));
+  const char* const details[] = {nullptr, "no_route", "blackhole", "channel"};
+  const auto types = static_cast<std::size_t>(sim::TraceType::kCount);
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    tracer.emit({0.125 * static_cast<double>(i), static_cast<sim::TraceType>(i % types),
+                 static_cast<sim::NodeId>(i % 7),
+                 i % 3 == 0 ? sim::kNoNode : static_cast<sim::NodeId>(i % 5), i,
+                 static_cast<std::uint32_t>(64 * (i % 4)),
+                 i % 2 == 0 ? 0.0 : 0.5 * static_cast<double>(i), details[i % 4],
+                 i % 5 == 0 ? 0 : i + 100, i / 2});
+  }
+  const std::string dump_path = temp_path("tracq_flight_dump.jsonl");
+  ASSERT_TRUE(tracer.flight()->dump_jsonl(dump_path));
+
+  std::vector<std::string> lines;
+  std::istringstream live_in{live.str()};
+  for (std::string line; std::getline(live_in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), kEvents);
+  std::string tail;
+  for (std::size_t i = kEvents - kCapacity; i < kEvents; ++i) tail += lines[i] + '\n';
+  std::ifstream dump_in{dump_path};
+  const std::string dumped{std::istreambuf_iterator<char>{dump_in},
+                           std::istreambuf_iterator<char>{}};
+  EXPECT_EQ(dumped, tail);
+
+  const std::string tail_path = temp_path("tracq_flight_tail.jsonl");
+  write_file(tail_path, tail);
+  std::string error;
+  const auto dump = load(dump_path, error);
+  ASSERT_TRUE(dump.has_value()) << error;
+  EXPECT_EQ(dump->records.size(), kCapacity);
+  const auto expected = load(tail_path, error);
+  ASSERT_TRUE(expected.has_value()) << error;
+  EXPECT_FALSE(first_divergence(*dump, *expected).has_value());
+  std::remove(dump_path.c_str());
+  std::remove(tail_path.c_str());
 }
 
 }  // namespace

@@ -29,12 +29,10 @@
 // SIGINT/SIGTERM stop the run loop at the next iteration; the RunReport,
 // any trace sinks, and the flight recorder are still flushed, and the
 // process exits 0 — a stopped node is a normal outcome, not a crash.
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -44,6 +42,7 @@
 #include "aodv/guard.hpp"
 #include "aodv/misbehavior.hpp"
 #include "aodv/watchdog.hpp"
+#include "cli.hpp"
 #include "core/framework.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/pki.hpp"
@@ -92,19 +91,6 @@ struct Options {
   std::exit(2);
 }
 
-/// Parses the whole of `text` as a T; anything else (an empty value, a
-/// trailing "x", an out-of-range number) is a usage error naming `flag`.
-template <typename T>
-T parse_number(const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    usage_error((flag + " needs a number, got '" + text + "'").c_str());
-  }
-  return value;
-}
-
 Options parse_options(int argc, char** argv) {
   Options opt;
   const auto need_value = [&](int i) -> const char* {
@@ -114,21 +100,21 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--id") {
-      opt.id = parse_number<int>(flag, need_value(i++));
+      opt.id = icc::cli::parse_number<int>("icnode", flag, need_value(i++));
     } else if (flag == "--num-nodes") {
-      opt.num_nodes = parse_number<int>(flag, need_value(i++));
+      opt.num_nodes = icc::cli::parse_number<int>("icnode", flag, need_value(i++));
     } else if (flag == "--base-port") {
-      opt.base_port = parse_number<int>(flag, need_value(i++));
+      opt.base_port = icc::cli::parse_number<int>("icnode", flag, need_value(i++));
     } else if (flag == "--seed") {
-      opt.seed = parse_number<long long>(flag, need_value(i++));
+      opt.seed = icc::cli::parse_number<long long>("icnode", flag, need_value(i++));
     } else if (flag == "--epoch-us") {
-      opt.epoch_us = parse_number<long long>(flag, need_value(i++));
+      opt.epoch_us = icc::cli::parse_number<long long>("icnode", flag, need_value(i++));
     } else if (flag == "--duration") {
-      opt.duration = parse_number<double>(flag, need_value(i++));
+      opt.duration = icc::cli::parse_number<double>("icnode", flag, need_value(i++));
     } else if (flag == "--attackers") {
-      opt.attackers = parse_number<int>(flag, need_value(i++));
+      opt.attackers = icc::cli::parse_number<int>("icnode", flag, need_value(i++));
     } else if (flag == "--flows") {
-      opt.flows = parse_number<int>(flag, need_value(i++));
+      opt.flows = icc::cli::parse_number<int>("icnode", flag, need_value(i++));
     } else if (flag == "--defense") {
       opt.defense = need_value(i++);
     } else if (flag == "--report") {

@@ -1,9 +1,10 @@
 // tracq — trace query / diff tool for icc simulator traces.
 //
-// Reads either a JSONL trace (ICC_TRACE_FILE=*.jsonl) or a binary flight-
-// recorder dump (*.icfr, sim/flight.hpp); .icfr inputs are detected by magic
-// and re-rendered through the canonical JsonlTraceSink so both formats share
-// one textual currency. Dependency-free beyond the icc_sim library.
+// Reads the canonical JSONL every trace is written in: an ICC_TRACE_FILE
+// trace (*.jsonl) and a flight-recorder dump (<base>.<n>.jsonl,
+// sim/flight.hpp) alike. A line that is not a complete record of a known
+// type — one cut off when its writer was killed, say — is a load error
+// naming the file and line. Dependency-free beyond the icc_sim library.
 //
 // Subcommands:
 //   tracq filter <file> [--type T] [--cat C] [--node N] [--span S] [--uid U]
@@ -18,8 +19,6 @@
 //   tracq diff <a> <b>
 //       first divergent record between two same-seed traces (exit 1 when
 //       they diverge, 0 when byte-identical)
-//   tracq dump <file>
-//       header summary + canonical JSONL rendering
 //   tracq export <file> <out.json>
 //       write a Chrome/Perfetto trace-event JSON file
 //   tracq --self-test
@@ -29,7 +28,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -39,12 +37,12 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/flight.hpp"
+#include "cli.hpp"
 #include "sim/trace.hpp"
 
 namespace icc::tracq {
 
-/// One parsed trace record, format-independent.
+/// One parsed trace record.
 struct Record {
   double t{0.0};
   std::string type;
@@ -57,7 +55,7 @@ struct Record {
   std::uint64_t span{0};
   std::uint64_t parent{0};
   std::string detail;
-  std::string line;  ///< canonical JSONL rendering
+  std::string line;  ///< the JSONL line it was parsed from
 };
 
 // ------------------------------------------------------------ JSON helpers
@@ -109,11 +107,16 @@ inline std::optional<sim::TraceType> type_from_name(std::string_view name) {
 
 // --------------------------------------------------------------- loading
 
-inline Record parse_jsonl_line(const std::string& line) {
+/// Parses one canonical JSONL line; std::nullopt unless it is a complete
+/// record (one whole object) with a time and a known type.
+inline std::optional<Record> parse_jsonl_line(const std::string& line) {
   Record r;
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}' ||
+      !json_num(line, "t", r.t) || !json_str(line, "type", r.type) ||
+      !type_from_name(r.type)) {
+    return std::nullopt;
+  }
   r.line = line;
-  json_num(line, "t", r.t);
-  json_str(line, "type", r.type);
   json_str(line, "cat", r.cat);
   std::uint64_t tmp = 0;
   if (json_u64(line, "node", tmp)) r.node = static_cast<std::uint32_t>(tmp);
@@ -127,14 +130,12 @@ inline Record parse_jsonl_line(const std::string& line) {
   return r;
 }
 
-/// Rebuild the TraceEvent a record came from. `detail` must outlive the
-/// event (it points into the record).
-inline std::optional<sim::TraceEvent> to_event(const Record& r) {
-  const auto type = type_from_name(r.type);
-  if (!type) return std::nullopt;
+/// Rebuild the TraceEvent a parsed record came from (its type is known).
+/// `detail` must outlive the event (it points into the record).
+inline sim::TraceEvent to_event(const Record& r) {
   sim::TraceEvent e;
   e.t = r.t;
-  e.type = *type;
+  e.type = *type_from_name(r.type);
   e.node = r.node;
   e.peer = r.peer;
   e.uid = r.uid;
@@ -148,8 +149,6 @@ inline std::optional<sim::TraceEvent> to_event(const Record& r) {
 
 struct Trace {
   std::vector<Record> records;
-  bool from_flight{false};
-  std::uint64_t flight_total_emitted{0};  ///< only when from_flight
 };
 
 inline std::string canonical_jsonl(const sim::TraceEvent& e) {
@@ -161,55 +160,25 @@ inline std::string canonical_jsonl(const sim::TraceEvent& e) {
   return line;
 }
 
-/// Load a trace file; .icfr (by magic) or JSONL (anything else). Returns
-/// std::nullopt with `error` filled on unreadable/corrupt input.
+/// Load a JSONL trace. Returns std::nullopt with `error` filled when the file
+/// cannot be read or a line is not a complete record (file:line named).
 inline std::optional<Trace> load(const std::string& path, std::string& error) {
-  std::ifstream in{path, std::ios::binary};
+  std::ifstream in{path};
   if (!in) {
     error = "cannot open '" + path + "'";
     return std::nullopt;
   }
-  char magic[4] = {};
-  in.read(magic, 4);
-  const bool is_flight = in.gcount() == 4 && std::memcmp(magic, "ICFR", 4) == 0;
-  in.seekg(0);
   Trace trace;
-  if (is_flight) {
-    trace.from_flight = true;
-    const auto dump = sim::FlightRecorder::read(in, error);
-    if (!dump) {
-      error = path + ": " + error;
+  std::string line;
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
+    if (line.empty()) continue;
+    auto record = parse_jsonl_line(line);
+    if (!record) {
+      error = path + ":" + std::to_string(number) +
+              ": not a complete trace record of a known type";
       return std::nullopt;
     }
-    trace.flight_total_emitted = dump->total_emitted;
-    trace.records.reserve(dump->records.size());
-    for (const sim::FlightRecord& fr : dump->records) {
-      if (fr.type >= static_cast<std::uint16_t>(sim::TraceType::kCount) ||
-          fr.detail_id >= dump->details.size()) {
-        error = path + ": record with out-of-range type/detail id";
-        return std::nullopt;
-      }
-      sim::TraceEvent e;
-      e.t = fr.t;
-      e.type = static_cast<sim::TraceType>(fr.type);
-      e.node = fr.node;
-      e.peer = fr.peer;
-      e.uid = fr.uid;
-      e.size = fr.size;
-      e.value = fr.value;
-      const std::string& detail = dump->details[fr.detail_id];
-      e.detail = detail.empty() ? nullptr : detail.c_str();
-      e.span = fr.span;
-      e.parent = fr.parent;
-      Record r = parse_jsonl_line(canonical_jsonl(e));
-      trace.records.push_back(std::move(r));
-    }
-    return trace;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    trace.records.push_back(parse_jsonl_line(line));
+    trace.records.push_back(std::move(*record));
   }
   return trace;
 }
@@ -372,14 +341,13 @@ namespace sim = icc::sim;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: tracq <filter|tree|latency|diff|dump|export> <args...>\n"
+               "usage: tracq <filter|tree|latency|diff|export> <args...>\n"
                "       tracq --self-test\n"
                "  filter <file> [--type T] [--cat C] [--node N] [--span S]\n"
                "                [--uid U] [--since T0] [--until T1]\n"
                "  tree <file> <span>\n"
                "  latency <file>\n"
                "  diff <a> <b>\n"
-               "  dump <file>\n"
                "  export <file> <out.json>\n");
   return 2;
 }
@@ -403,15 +371,15 @@ int cmd_filter(int argc, char** argv) {
     } else if (opt == "--cat") {
       filter.cat = val;
     } else if (opt == "--node") {
-      filter.node = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
+      filter.node = icc::cli::parse_number<std::uint32_t>("tracq", opt, val);
     } else if (opt == "--span") {
-      filter.span = std::strtoull(val, nullptr, 10);
+      filter.span = icc::cli::parse_number<std::uint64_t>("tracq", opt, val);
     } else if (opt == "--uid") {
-      filter.uid = std::strtoull(val, nullptr, 10);
+      filter.uid = icc::cli::parse_number<std::uint64_t>("tracq", opt, val);
     } else if (opt == "--since") {
-      filter.since = std::strtod(val, nullptr);
+      filter.since = icc::cli::parse_number<double>("tracq", opt, val);
     } else if (opt == "--until") {
-      filter.until = std::strtod(val, nullptr);
+      filter.until = icc::cli::parse_number<double>("tracq", opt, val);
     } else {
       return usage();
     }
@@ -426,9 +394,9 @@ int cmd_filter(int argc, char** argv) {
 
 int cmd_tree(int argc, char** argv) {
   if (argc != 2) return usage();
+  const auto id = icc::cli::parse_number<std::uint64_t>("tracq", "span", argv[1]);
   const auto trace = load_or_complain(argv[0]);
   if (!trace) return 2;
-  const std::uint64_t id = std::strtoull(argv[1], nullptr, 10);
   const icc::tracq::Lineage lineage{trace->records};
   const std::uint64_t root = lineage.root_of(id);
   if (lineage.by_span.count(root) == 0 && lineage.children.count(root) == 0) {
@@ -489,19 +457,6 @@ int cmd_diff(int argc, char** argv) {
   return 1;
 }
 
-int cmd_dump(int argc, char** argv) {
-  if (argc != 1) return usage();
-  const auto trace = load_or_complain(argv[0]);
-  if (!trace) return 2;
-  if (trace->from_flight) {
-    std::printf("# flight recorder dump: %zu records in ring, %llu emitted in total\n",
-                trace->records.size(),
-                static_cast<unsigned long long>(trace->flight_total_emitted));
-  }
-  for (const icc::tracq::Record& r : trace->records) std::printf("%s\n", r.line.c_str());
-  return 0;
-}
-
 int cmd_export(int argc, char** argv) {
   if (argc != 2) return usage();
   const auto trace = load_or_complain(argv[0]);
@@ -513,20 +468,9 @@ int cmd_export(int argc, char** argv) {
   }
   out << "[\n";
   icc::sim::PerfettoTraceSink sink{out};
-  std::size_t skipped = 0;
-  for (const icc::tracq::Record& r : trace->records) {
-    const auto event = icc::tracq::to_event(r);
-    if (event) {
-      sink.on_event(*event);
-    } else {
-      ++skipped;
-    }
-  }
+  for (const icc::tracq::Record& r : trace->records) sink.on_event(icc::tracq::to_event(r));
   out << "]\n";
-  if (skipped > 0) {
-    std::fprintf(stderr, "tracq: skipped %zu records with unknown type\n", skipped);
-  }
-  std::printf("wrote %s (%zu records)\n", argv[1], trace->records.size() - skipped);
+  std::printf("wrote %s (%zu records)\n", argv[1], trace->records.size());
   return 0;
 }
 
@@ -543,12 +487,13 @@ int self_test() {
   // Parse: a JSONL line round-trips through Record.
   const std::string line =
       R"({"t":1.500000000,"type":"packet_tx","cat":"packet","node":3,"peer":7,"uid":42,"size":512,"span":42,"parent":17})";
-  const Record r = parse_jsonl_line(line);
-  expect(r.t == 1.5 && r.type == "packet_tx" && r.cat == "packet" && r.node == 3 &&
-             r.peer == 7 && r.uid == 42 && r.size == 512 && r.span == 42 && r.parent == 17,
+  const auto r = parse_jsonl_line(line);
+  expect(r && r->t == 1.5 && r->type == "packet_tx" && r->cat == "packet" && r->node == 3 &&
+             r->peer == 7 && r->uid == 42 && r->size == 512 && r->span == 42 &&
+             r->parent == 17,
          "JSONL field extraction");
-  const auto event = to_event(r);
-  expect(event.has_value() && canonical_jsonl(*event) == line, "canonical re-render");
+  expect(r && canonical_jsonl(to_event(*r)) == line, "canonical re-render");
+  expect(!parse_jsonl_line(line.substr(0, line.size() - 1)), "a cut line is rejected");
 
   // Lineage: 17 -> 42 -> {43, 44}; annotation on 44.
   std::vector<Record> records;
@@ -620,7 +565,6 @@ int main(int argc, char** argv) {
   if (cmd == "tree") return cmd_tree(argc - 2, argv + 2);
   if (cmd == "latency") return cmd_latency(argc - 2, argv + 2);
   if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
-  if (cmd == "dump") return cmd_dump(argc - 2, argv + 2);
   if (cmd == "export") return cmd_export(argc - 2, argv + 2);
   return usage();
 }
