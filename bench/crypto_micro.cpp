@@ -2,15 +2,16 @@
 // lengths (1024-bit for the AODV study, 512-bit for the sensor study):
 // threshold-RSA partial signing / combination / verification, plain RSA,
 // SHA-256/HMAC (one-shot, under a prebuilt key schedule, and one compression
-// per kernel), and the simulation-grade scheme. These numbers calibrate the
-// CryptoCostModel used inside the simulations (DESIGN.md §3) and quantify
-// the software side of the paper's Crypto-Processor trade-off.
+// per kernel), and the simulation-grade scheme and PKI. These numbers
+// calibrate the CryptoCostModel used inside the simulations (DESIGN.md §3)
+// and quantify the software side of the paper's Crypto-Processor trade-off.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "crypto/hmac.hpp"
 #include "crypto/model_scheme.hpp"
+#include "crypto/pki.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_kernels.hpp"
@@ -165,5 +166,33 @@ void BM_ModelSchemeCombine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelSchemeCombine);
+
+// A remote recipient checking an agreed message's level-3 signature: one MAC
+// under the stored K_3 schedule.
+void BM_ModelSchemeVerify(benchmark::State& state) {
+  ModelThresholdScheme scheme{1, 3, 1024};
+  std::vector<PartialSig> partials;
+  const auto msg = message();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    partials.push_back(scheme.issue_signer(i)->partial_sign(3, msg));
+  }
+  const ThresholdSignature sig = *scheme.combine(3, msg, partials);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheme.verify(msg, sig));
+  }
+}
+BENCHMARK(BM_ModelSchemeVerify);
+
+// The guard checking an issued node's RREP signature: one MAC under the
+// node's stored key schedule.
+void BM_ModelPkiVerify(benchmark::State& state) {
+  ModelPki pki{1, 1024};
+  const auto msg = message();
+  const std::vector<std::uint8_t> sig = pki.issue_signer(7)->sign(msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pki.verify(7, msg, sig));
+  }
+}
+BENCHMARK(BM_ModelPkiVerify);
 
 }  // namespace

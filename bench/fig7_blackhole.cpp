@@ -87,15 +87,8 @@ int main() {
     // The neutralization-coverage ledger rides along with every run, so the
     // report carries injected/detected/neutralized/escaped per fault class
     // next to the throughput numbers they explain.
-    for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      const icc::fault::CoverageRow& row = r.coverage[c];
-      std::string base = "fault.";
-      base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
-      out[base + ".injected"] = {static_cast<double>(row.injected)};
-      out[base + ".detected"] = {static_cast<double>(row.detected)};
-      out[base + ".neutralized"] = {static_cast<double>(row.neutralized)};
-      out[base + ".escaped"] = {static_cast<double>(row.escaped)};
-    }
+    icc::fault::for_each_coverage_value(
+        r.coverage, "", [&out](const std::string& name, double value) { out[name] = {value}; });
     return out;
   };
 

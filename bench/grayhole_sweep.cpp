@@ -87,15 +87,8 @@ int main() {
     out["energy_j"] = {r.mean_energy_j};
     // Coverage ledger per run: for this bench the protocol row is the story
     // (how many gray-hole injections each defense detected vs. masked).
-    for (std::size_t c = 0; c < icc::fault::kNumFaultClasses; ++c) {
-      const icc::fault::CoverageRow& row = r.coverage[c];
-      std::string base = "fault.";
-      base += icc::fault::fault_class_name(static_cast<icc::fault::FaultClass>(c));
-      out[base + ".injected"] = {static_cast<double>(row.injected)};
-      out[base + ".detected"] = {static_cast<double>(row.detected)};
-      out[base + ".neutralized"] = {static_cast<double>(row.neutralized)};
-      out[base + ".escaped"] = {static_cast<double>(row.escaped)};
-    }
+    icc::fault::for_each_coverage_value(
+        r.coverage, "", [&out](const std::string& name, double value) { out[name] = {value}; });
     return out;
   };
   const icc::exp::CampaignResult result = icc::exp::run_campaign(campaign);

@@ -11,8 +11,9 @@
 namespace icc::crypto {
 
 /// A key's HMAC-SHA256 schedule: the SHA-256 midstates after absorbing the
-/// key's ipad block and its opad block. A MAC resumes from them, so it costs
-/// the message's blocks plus one outer block; build one per long-lived key.
+/// key's ipad block and its opad block. A MAC resumes from them and costs
+/// the message's blocks plus its padding plus one outer block, and nothing
+/// else; build one per long-lived key.
 class HmacKey {
  public:
   /// Hashes nothing; mac() on it is no HMAC. Assign a keyed schedule first.
@@ -20,7 +21,10 @@ class HmacKey {
   explicit HmacKey(std::span<const std::uint8_t> key);
 
   /// HMAC-SHA256 of `msg` under this key.
-  [[nodiscard]] Digest mac(std::span<const std::uint8_t> msg) const;
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> msg) const { return mac({}, msg); }
+  /// HMAC-SHA256 of `prefix` followed by `msg`, without joining them.
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> prefix,
+                           std::span<const std::uint8_t> msg) const;
 
  private:
   Sha256::State inner_{};

@@ -13,18 +13,22 @@ Digest u64_key(std::uint64_t v) {
   return Sha256::hash(std::span<const std::uint8_t>{bytes});
 }
 
-Digest tag_for(const Digest& key, int level, std::span<const std::uint8_t> msg) {
+std::span<const std::uint8_t> as_bytes(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+Digest tag_for(const HmacKey& key, int level, std::span<const std::uint8_t> msg) {
   // Domain-separate the level so a level-1 tag never verifies at level 2.
-  std::vector<std::uint8_t> buf;
-  buf.reserve(msg.size() + 4);
-  for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(level >> (8 * i)));
-  buf.insert(buf.end(), msg.begin(), msg.end());
-  return hmac_sha256(key, std::span<const std::uint8_t>{buf});
+  std::array<std::uint8_t, 4> prefix{};
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<std::uint8_t>(level >> (8 * i));
+  }
+  return key.mac(prefix, msg);
 }
 
 class ModelSigner final : public ThresholdSigner {
  public:
-  ModelSigner(std::uint32_t id, int max_level, std::vector<Digest> shares,
+  ModelSigner(std::uint32_t id, int max_level, std::vector<HmacKey> shares,
               std::size_t sig_bytes)
       : id_{id}, max_level_{max_level}, shares_{std::move(shares)}, sig_bytes_{sig_bytes} {}
 
@@ -45,29 +49,38 @@ class ModelSigner final : public ThresholdSigner {
  private:
   std::uint32_t id_;
   int max_level_;
-  std::vector<Digest> shares_;  ///< one share per level, index level-1
+  std::vector<HmacKey> shares_;  ///< one share schedule per level, index level-1
   std::size_t sig_bytes_;
 };
 
 }  // namespace
 
 ModelThresholdScheme::ModelThresholdScheme(std::uint64_t seed, int max_level, int key_bits)
-    : seed_key_{u64_key(seed)},
-      max_level_{max_level},
-      sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {}
-
-Digest ModelThresholdScheme::master_key(int level) const {
-  return hmac_sha256(seed_key_, "K_L:" + std::to_string(level));
+    : max_level_{max_level}, sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {
+  const Digest seed_key = u64_key(seed);
+  for (int level = 1; level <= max_level; ++level) {
+    masters_.emplace_back(hmac_sha256(seed_key, "K_L:" + std::to_string(level)));
+  }
 }
 
-Digest ModelThresholdScheme::share_key(int level, std::uint32_t id) const {
-  return hmac_sha256(master_key(level), "share:" + std::to_string(id));
+HmacKey ModelThresholdScheme::derive_share(int level, std::uint32_t id) const {
+  return HmacKey{masters_[static_cast<std::size_t>(level - 1)].mac(
+      as_bytes("share:" + std::to_string(id)))};
+}
+
+HmacKey ModelThresholdScheme::share_schedule(int level, std::uint32_t id) const {
+  if (id < issued_.size() && !issued_[id].empty()) {
+    return issued_[id][static_cast<std::size_t>(level - 1)];
+  }
+  return derive_share(level, id);
 }
 
 std::unique_ptr<ThresholdSigner> ModelThresholdScheme::issue_signer(std::uint32_t id) {
-  std::vector<Digest> shares;
+  std::vector<HmacKey> shares;
   shares.reserve(static_cast<std::size_t>(max_level_));
-  for (int level = 1; level <= max_level_; ++level) shares.push_back(share_key(level, id));
+  for (int level = 1; level <= max_level_; ++level) shares.push_back(derive_share(level, id));
+  if (id >= issued_.size()) issued_.resize(static_cast<std::size_t>(id) + 1);
+  issued_[id] = shares;
   return std::make_unique<ModelSigner>(id, max_level_, std::move(shares), sig_bytes_);
 }
 
@@ -75,7 +88,7 @@ bool ModelThresholdScheme::verify_partial(std::span<const std::uint8_t> msg,
                                           const PartialSig& ps) const {
   if (ps.level < 1 || ps.level > max_level_) return false;
   if (ps.data.size() < 32) return false;
-  const Digest expected = tag_for(share_key(ps.level, ps.signer), ps.level, msg);
+  const Digest expected = tag_for(share_schedule(ps.level, ps.signer), ps.level, msg);
   Digest got{};
   std::memcpy(got.data(), ps.data.data(), got.size());
   return digest_equal(expected, got);
@@ -95,7 +108,7 @@ std::optional<ThresholdSignature> ModelThresholdScheme::combine(
 
   ThresholdSignature sig;
   sig.level = level;
-  const Digest tag = tag_for(master_key(level), level, msg);
+  const Digest tag = tag_for(masters_[static_cast<std::size_t>(level - 1)], level, msg);
   sig.data.assign(tag.begin(), tag.end());
   sig.data.resize(sig_bytes_, 0);
   return sig;
@@ -105,7 +118,8 @@ bool ModelThresholdScheme::verify(std::span<const std::uint8_t> msg,
                                   const ThresholdSignature& sig) const {
   if (sig.level < 1 || sig.level > max_level_) return false;
   if (sig.data.size() < 32) return false;
-  const Digest expected = tag_for(master_key(sig.level), sig.level, msg);
+  const Digest expected =
+      tag_for(masters_[static_cast<std::size_t>(sig.level - 1)], sig.level, msg);
   Digest got{};
   std::memcpy(got.data(), sig.data.data(), got.size());
   return digest_equal(expected, got);

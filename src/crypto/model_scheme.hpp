@@ -2,7 +2,9 @@
 //
 // The dealer derives master key K_L = HMAC(seed, L) per level and node
 // shares S_{L,i} = HMAC(K_L, i). A partial signature is HMAC(S_{L,i}, msg);
-// the combine/verify operations recompute tags with the dealer's keys. In a
+// the combine/verify operations recompute tags with the dealer's keys. Each
+// key's HMAC schedule is built once per run: the master keys' at
+// construction, a node's shares' when the dealer issues its signer. In a
 // simulation the ModelThresholdScheme instance *is* the mathematics: a node
 // can only produce the partial tag for ids whose ThresholdSigner it holds,
 // so the protocol-visible guarantees match real threshold RSA — forging a
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/scheme.hpp"
@@ -38,13 +41,17 @@ class ModelThresholdScheme final : public ThresholdScheme {
   [[nodiscard]] std::size_t signature_bytes() const override { return sig_bytes_; }
 
  private:
-  friend class ModelSigner;
-  [[nodiscard]] Digest master_key(int level) const;
-  [[nodiscard]] Digest share_key(int level, std::uint32_t id) const;
+  /// The schedule of S_{level,id}: the issued one, or for an id never
+  /// issued, one derived for this call only.
+  [[nodiscard]] HmacKey share_schedule(int level, std::uint32_t id) const;
+  [[nodiscard]] HmacKey derive_share(int level, std::uint32_t id) const;
 
-  Digest seed_key_{};
   int max_level_;
   std::size_t sig_bytes_;
+  std::vector<HmacKey> masters_;  ///< K_L's schedule, index L-1
+  /// Share schedules of every issued signer, [id][L-1]; empty for an id
+  /// never issued.
+  std::vector<std::vector<HmacKey>> issued_;
 };
 
 }  // namespace icc::crypto

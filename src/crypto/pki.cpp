@@ -1,5 +1,6 @@
 #include "crypto/pki.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -9,20 +10,20 @@ namespace {
 
 class ModelNodeSigner final : public NodeSigner {
  public:
-  ModelNodeSigner(std::uint32_t id, Digest key, std::size_t sig_bytes)
+  ModelNodeSigner(std::uint32_t id, const HmacKey& key, std::size_t sig_bytes)
       : id_{id}, key_{key}, sig_bytes_{sig_bytes} {}
   [[nodiscard]] std::uint32_t id() const override { return id_; }
   [[nodiscard]] std::vector<std::uint8_t> sign(
       std::span<const std::uint8_t> msg) const override {
-    const Digest tag = hmac_sha256(key_, msg);
-    std::vector<std::uint8_t> out(tag.begin(), tag.end());
-    out.resize(sig_bytes_, 0);
+    const Digest tag = key_.mac(msg);
+    std::vector<std::uint8_t> out(sig_bytes_, 0);  // the modeled on-air size
+    std::copy_n(tag.begin(), std::min(tag.size(), out.size()), out.begin());
     return out;
   }
 
  private:
   std::uint32_t id_;
-  Digest key_;
+  HmacKey key_;
   std::size_t sig_bytes_;
 };
 
@@ -49,18 +50,22 @@ ModelPki::ModelPki(std::uint64_t seed, int key_bits)
   seed_key_ = Sha256::hash(std::span<const std::uint8_t>{bytes});
 }
 
-Digest ModelPki::node_key(std::uint32_t id) const {
-  return hmac_sha256(seed_key_, "pki:" + std::to_string(id));
+HmacKey ModelPki::derive_key(std::uint32_t id) const {
+  return HmacKey{hmac_sha256(seed_key_, "pki:" + std::to_string(id))};
 }
 
 std::unique_ptr<NodeSigner> ModelPki::issue_signer(std::uint32_t id) {
-  return std::make_unique<ModelNodeSigner>(id, node_key(id), sig_bytes_);
+  if (id >= issued_.size()) issued_.resize(static_cast<std::size_t>(id) + 1);
+  const HmacKey& key = issued_[id].emplace(derive_key(id));
+  return std::make_unique<ModelNodeSigner>(id, key, sig_bytes_);
 }
 
 bool ModelPki::verify(std::uint32_t id, std::span<const std::uint8_t> msg,
                       std::span<const std::uint8_t> sig) const {
   if (sig.size() < 32) return false;
-  const Digest expected = hmac_sha256(node_key(id), msg);
+  const std::optional<HmacKey> never_issued;
+  const std::optional<HmacKey>& key = id < issued_.size() ? issued_[id] : never_issued;
+  const Digest expected = key.has_value() ? key->mac(msg) : derive_key(id).mac(msg);
   Digest got{};
   std::memcpy(got.data(), sig.data(), got.size());
   return digest_equal(expected, got);

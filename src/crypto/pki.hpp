@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,7 +39,8 @@ class Pki {
   [[nodiscard]] virtual std::size_t signature_bytes() const = 0;
 };
 
-/// Simulation-grade PKI: per-node HMAC keys derived from a dealer seed.
+/// Simulation-grade PKI: per-node HMAC keys derived from a dealer seed. A
+/// node's key schedule is built once, when the dealer issues its signer.
 class ModelPki final : public Pki {
  public:
   /// `key_bits` only scales the modeled on-air signature size.
@@ -50,9 +52,13 @@ class ModelPki final : public Pki {
   [[nodiscard]] std::size_t signature_bytes() const override { return sig_bytes_; }
 
  private:
-  [[nodiscard]] Digest node_key(std::uint32_t id) const;
+  [[nodiscard]] HmacKey derive_key(std::uint32_t id) const;
+
   Digest seed_key_{};
   std::size_t sig_bytes_;
+  /// Key schedules of every issued signer, by id; empty for an id never
+  /// issued, whose key verify() derives per call.
+  std::vector<std::optional<HmacKey>> issued_;
 };
 
 /// Real RSA PKI over per-node keypairs.

@@ -159,19 +159,18 @@ const bool kUseShani = detail::sha256_shani_supported();
 
 }  // namespace
 
-void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  total_len_ = 0;
-  buffer_len_ = 0;
+void detail::sha256_compress(Sha256::State& state, const std::uint8_t* block) {
+  if (kUseShani) {
+    sha256_compress_shani(state, block);
+  } else {
+    sha256_compress_portable(state, block);
+  }
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  if (kUseShani) {
-    detail::sha256_compress_shani(state_, block);
-  } else {
-    detail::sha256_compress_portable(state_, block);
-  }
+void Sha256::reset() {
+  state_ = kInitialState;
+  total_len_ = 0;
+  buffer_len_ = 0;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -184,12 +183,12 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     off = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      detail::sha256_compress(state_, buffer_.data());
       buffer_len_ = 0;
     }
   }
   while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
+    detail::sha256_compress(state_, data.data() + off);
     off += 64;
   }
   if (off < data.size()) {
@@ -205,14 +204,14 @@ Digest Sha256::finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.end(), 0);
-    process_block(buffer_.data());
+    detail::sha256_compress(state_, buffer_.data());
     buffer_len_ = 0;
   }
   std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.begin() + 56, 0);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  process_block(buffer_.data());
+  detail::sha256_compress(state_, buffer_.data());
   Digest out{};
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

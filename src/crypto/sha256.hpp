@@ -18,6 +18,9 @@ class Sha256 {
  public:
   /// The eight chaining words between blocks (a midstate).
   using State = std::array<std::uint32_t, 8>;
+  /// FIPS 180-4's initial hash value H(0): the state before any block.
+  static constexpr State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
   Sha256() { reset(); }
 
@@ -33,13 +36,6 @@ class Sha256 {
   static Digest hash(std::string_view s);
 
  private:
-  friend class HmacKey;
-
-  /// Resumes from `midstate`, the state after exactly one 64-byte block.
-  explicit Sha256(const State& midstate) : state_{midstate}, total_len_{64} {}
-
-  void process_block(const std::uint8_t* block);
-
   State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_{0};

@@ -1,6 +1,7 @@
-// SHA-256 compression kernels behind Sha256::process_block. Private to
-// sha256.cpp, which picks one at static initialisation; the crypto tests and
-// the crypto micro-benchmark include it to cross-check and time each kernel.
+// SHA-256 compression kernels. sha256.cpp picks one at static
+// initialisation and dispatches to it for Sha256 and HmacKey alike; the
+// crypto tests and the crypto micro-benchmark call each kernel directly to
+// cross-check and time it.
 #pragma once
 
 #include <cstdint>
@@ -8,6 +9,10 @@
 #include "crypto/sha256.hpp"
 
 namespace icc::crypto::detail {
+
+/// One compression on the kernel picked at start-up: the SHA extensions
+/// where sha256_shani_supported() holds, the portable kernel otherwise.
+void sha256_compress(Sha256::State& state, const std::uint8_t* block);
 
 /// FIPS 180-4 compression of one 64-byte block into `state`, in portable
 /// C++. The only kernel off x86-64 and the reference for the others.

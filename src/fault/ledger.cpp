@@ -115,17 +115,25 @@ bool CoverageLedger::consistent() const {
   return true;
 }
 
-void add_coverage_to_report(const CoverageRows& rows, sim::RunReport& report) {
+void for_each_coverage_value(const CoverageRows& rows, std::string_view infix,
+                             const std::function<void(const std::string&, double)>& visit) {
   for (std::size_t ci = 0; ci < kNumFaultClasses; ++ci) {
     const CoverageRow& r = rows[ci];
     std::string base = "fault.";
     base += fault_class_name(static_cast<FaultClass>(ci));
-    base += ".coverage.";
-    report.add_gauge(base + "injected", static_cast<double>(r.injected));
-    report.add_gauge(base + "detected", static_cast<double>(r.detected));
-    report.add_gauge(base + "neutralized", static_cast<double>(r.neutralized));
-    report.add_gauge(base + "escaped", static_cast<double>(r.escaped));
+    base += '.';
+    base += infix;
+    visit(base + "injected", static_cast<double>(r.injected));
+    visit(base + "detected", static_cast<double>(r.detected));
+    visit(base + "neutralized", static_cast<double>(r.neutralized));
+    visit(base + "escaped", static_cast<double>(r.escaped));
   }
+}
+
+void add_coverage_to_report(const CoverageRows& rows, sim::RunReport& report) {
+  for_each_coverage_value(rows, "coverage.", [&report](const std::string& name, double value) {
+    report.add_gauge(name, value);
+  });
 }
 
 }  // namespace icc::fault

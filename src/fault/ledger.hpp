@@ -29,7 +29,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "sim/types.hpp"
 
@@ -93,6 +95,13 @@ struct CoverageRow {
 };
 
 using CoverageRows = std::array<CoverageRow, kNumFaultClasses>;
+
+/// The ledger's one name/value walk: `visit(name, value)` once per class
+/// and stage, in class order and, within a class, injected, detected,
+/// neutralized, escaped; `name` is `fault.<class>.<infix><stage>`. Every
+/// writer of ledger rows (reports, bench outputs) goes through it.
+void for_each_coverage_value(const CoverageRows& rows, std::string_view infix,
+                             const std::function<void(const std::string&, double)>& visit);
 
 /// Write `rows` into `report` as gauges
 /// `fault.<class>.coverage.{injected,detected,neutralized,escaped}` — the one

@@ -94,19 +94,35 @@ class Host : public Services {
 /// RAII lineage context: packets originated while the scope is alive inherit
 /// `span` as their parent (unless protocol code already set one). Used where
 /// causality crosses a scheduling boundary — a buffered data packet
-/// triggering a discovery, a jittered RREQ re-flood, a delayed vote reply.
+/// triggering a discovery, a jittered RREQ re-flood, a delayed vote reply —
+/// and by net::Stack around each delivered packet.
 class LineageScope {
  public:
+  /// Scopes the run's one lineage slot directly, with no virtual call: the
+  /// World, a sim::Node (its world's slot) and a UdpHost hand it out with
+  /// lineage_slot().
+  LineageScope(std::uint64_t& slot, std::uint64_t span) noexcept : slot_{&slot}, prev_{slot} {
+    slot = span;
+  }
+  /// Scopes through the Services interface, for protocol code that holds
+  /// only a Host.
   LineageScope(Services& services, std::uint64_t span) noexcept
-      : services_{services}, prev_{services.lineage_parent()} {
+      : services_{&services}, prev_{services.lineage_parent()} {
     services.set_lineage_parent(span);
   }
-  ~LineageScope() { services_.set_lineage_parent(prev_); }
+  ~LineageScope() {
+    if (slot_ != nullptr) {
+      *slot_ = prev_;
+    } else {
+      services_->set_lineage_parent(prev_);
+    }
+  }
   LineageScope(const LineageScope&) = delete;
   LineageScope& operator=(const LineageScope&) = delete;
 
  private:
-  Services& services_;
+  std::uint64_t* slot_{nullptr};
+  Services* services_{nullptr};
   std::uint64_t prev_;
 };
 

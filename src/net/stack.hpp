@@ -26,9 +26,12 @@ namespace icc::net {
 class Stack {
  public:
   /// `services` is the run the host belongs to: the World for a simulated
-  /// node, the host itself in deployment mode.
-  Stack(Services& services, NodeId id)
+  /// node, the host itself in deployment mode. `lineage` is that run's
+  /// lineage slot (its lineage_slot()), read and scoped without a virtual
+  /// call on every packet.
+  Stack(Services& services, std::uint64_t& lineage, NodeId id)
       : services_{services},
+        lineage_{lineage},
         tracer_{services.tracer()},
         id_{id},
         outbound_dropped_id_{services.metrics().counter_id("node.outbound_dropped")},
@@ -48,8 +51,7 @@ class Stack {
   void stamp(Packet& packet) {
     if (packet.uid == 0) packet.uid = services_.next_packet_uid();
     if (packet.parent != 0) return;
-    const std::uint64_t context = services_.lineage_parent();
-    if (context != packet.uid) packet.parent = context;
+    if (lineage_ != packet.uid) packet.parent = lineage_;
   }
 
   /// Stamp `packet`, then run the outbound filters. Stamping comes first so
@@ -90,7 +92,7 @@ class Stack {
                     packet.size_bytes, 0.0, nullptr, packet.uid, packet.parent});
     }
     if (down) return;
-    LineageScope lineage{services_, packet.uid};
+    LineageScope lineage{lineage_, packet.uid};
     for (const InboundFilter& filter : inbound_filters_) {
       switch (filter(packet, frame.tx)) {
         case FilterVerdict::kPass:
@@ -114,6 +116,7 @@ class Stack {
   }
 
   Services& services_;
+  std::uint64_t& lineage_;
   sim::Tracer& tracer_;  ///< services_.tracer(), which outlives the stack
   NodeId id_;
   sim::MetricId outbound_dropped_id_;

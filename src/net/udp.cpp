@@ -51,7 +51,7 @@ UdpHost::UdpHost(UdpConfig config)
       clock_{config.epoch_unix_us},
       rng_{config.seed},
       next_uid_{((static_cast<std::uint64_t>(config.id) + 1) << 40) | 1},
-      stack_{*this, config.id},
+      stack_{*this, lineage_parent_, config.id},
       tx_frames_id_{metrics().counter_id("net.udp.tx_frames")},
       rx_frames_id_{metrics().counter_id("net.udp.rx_frames")},
       rx_rejected_id_{metrics().counter_id("net.udp.rx_rejected")} {

@@ -61,6 +61,8 @@ class UdpHost final : public Host, public Transport {
     return lineage_parent_;
   }
   void set_lineage_parent(std::uint64_t span) noexcept override { lineage_parent_ = span; }
+  /// This run's one lineage slot (the daemon is its own run).
+  std::uint64_t& lineage_slot() noexcept { return lineage_parent_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept override { return config_.num_nodes; }
 
   // --- Host ---

@@ -14,6 +14,7 @@ Medium::Medium(World& world, double tx_range, double cs_range, double width, dou
   shards_x_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(width / shard_side_)));
   shards_y_ = std::max(1u, static_cast<std::uint32_t>(std::ceil(height / shard_side_)));
   air_shards_.resize(static_cast<std::size_t>(shards_x_) * shards_y_);
+  shard_latest_end_.resize(air_shards_.size(), 0.0);
 }
 
 void Medium::begin_transmission(const Frame& frame, double duration) {
@@ -32,10 +33,12 @@ void Medium::begin_transmission(const Frame& frame, double duration) {
   const Vec2 tx_pos = world_.node(frame.tx).position();
   // Each insert retires its own shard's expired entries, bounding shard
   // growth without a global sweep.
-  auto& shard = air_shards_[static_cast<std::size_t>(shard_row(tx_pos.y)) * shards_x_ +
-                           shard_col(tx_pos.x)];
+  const std::size_t shard_index =
+      static_cast<std::size_t>(shard_row(tx_pos.y)) * shards_x_ + shard_col(tx_pos.x);
+  auto& shard = air_shards_[shard_index];
   std::erase_if(shard, [now](const AirEntry& e) { return e.end <= now; });
   shard.push_back(AirEntry{now + duration, tx_pos});
+  shard_latest_end_[shard_index] = std::max(shard_latest_end_[shard_index], now + duration);
   world_.nodes_within(tx_pos, tx_range_, rx_scratch_);
   deliver(frame, duration, rx_scratch_, [&](NodeId rx) {
     if (rx == frame.tx || world_.node(rx).down()) return DeliveryVerdict::kDrop;
@@ -94,8 +97,27 @@ void Medium::end_receptions(std::uint32_t slot) {
 bool Medium::busy_at(NodeId listener) const {
   const Time now = world_.sched().now();
   const Vec2 lp = world_.node(listener).position();
-  // Scan the shard window covering disk(listener, cs_range). Expired
-  // entries are skipped, not erased (busy_at stays const).
+  const bool busy = busy_near(lp, now);
+#if ICC_CHECKED_ENABLED
+  // Cross-check: the window scan, quiet shards skipped, must answer as a
+  // scan of every entry in every shard does.
+  bool brute = false;
+  for (const auto& shard : air_shards_) {
+    for (const AirEntry& e : shard) {
+      brute = brute || (e.end > now && (e.pos - lp).norm2() <= cs_range_ * cs_range_);
+    }
+  }
+  ICC_CHECK(busy == brute,
+            "carrier sense diverged from a scan of the whole air table "
+            "(shard window or quiet-shard skip is wrong)");
+#endif
+  return busy;
+}
+
+bool Medium::busy_near(Vec2 lp, Time now) const {
+  // Scan the shard window covering disk(lp, cs_range). Expired entries are
+  // skipped, not erased (busy_at stays const), and a shard whose latest
+  // entry ended by now is not visited at all.
   const double cs2 = cs_range_ * cs_range_;
   const std::uint32_t c0 = shard_col(lp.x - cs_range_);
   const std::uint32_t c1 = shard_col(lp.x + cs_range_);
@@ -103,7 +125,9 @@ bool Medium::busy_at(NodeId listener) const {
   const std::uint32_t r1 = shard_row(lp.y + cs_range_);
   for (std::uint32_t r = r0; r <= r1; ++r) {
     for (std::uint32_t c = c0; c <= c1; ++c) {
-      for (const AirEntry& e : air_shards_[static_cast<std::size_t>(r) * shards_x_ + c]) {
+      const std::size_t index = static_cast<std::size_t>(r) * shards_x_ + c;
+      if (shard_latest_end_[index] <= now) continue;
+      for (const AirEntry& e : air_shards_[index]) {
         if (e.end > now && (e.pos - lp).norm2() <= cs2) return true;
       }
     }

@@ -105,6 +105,9 @@ class Medium {
   void close_delivery(std::uint32_t slot, const Frame& frame, double duration);
   void end_receptions(std::uint32_t slot);
 
+  /// The window scan behind busy_at.
+  [[nodiscard]] bool busy_near(Vec2 lp, Time now) const;
+
   [[nodiscard]] std::uint32_t shard_col(double x) const noexcept;
   [[nodiscard]] std::uint32_t shard_row(double y) const noexcept;
 
@@ -115,6 +118,9 @@ class Medium {
   /// retires its own shard's expired entries; carrier sense skips expired
   /// entries without erasing them, so busy_at is honestly const.
   std::vector<std::vector<AirEntry>> air_shards_;
+  /// Each shard's latest entry end, in one flat array: carrier sense skips
+  /// a shard that went quiet by `now` without touching its vector.
+  std::vector<Time> shard_latest_end_;
   double shard_side_;
   std::uint32_t shards_x_;
   std::uint32_t shards_y_;

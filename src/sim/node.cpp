@@ -10,7 +10,7 @@ Node::Node(World& world, NodeId id, std::unique_ptr<Mobility> mobility,
       id_{id},
       mobility_{std::move(mobility)},
       mac_{std::make_unique<Mac>(world, *this, mac_params)},
-      stack_{world, id} {}
+      stack_{world, world.lineage_slot(), id} {}
 
 Vec2 Node::position() const { return mobility_->position(world_.now()); }
 
@@ -24,6 +24,7 @@ std::uint64_t Node::lineage_parent() const noexcept { return world_.lineage_pare
 void Node::set_lineage_parent(std::uint64_t span) noexcept {
   world_.set_lineage_parent(span);
 }
+std::uint64_t& Node::lineage_slot() noexcept { return world_.lineage_slot(); }
 std::size_t Node::num_nodes() const noexcept { return world_.num_nodes(); }
 net::Clock& Node::clock() noexcept { return world_.sched(); }
 

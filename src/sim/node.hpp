@@ -38,6 +38,9 @@ class Node final : public net::Host, public net::Transport {
   std::uint64_t next_span() noexcept override;
   [[nodiscard]] std::uint64_t lineage_parent() const noexcept override;
   void set_lineage_parent(std::uint64_t span) noexcept override;
+  /// The world's lineage slot (World::lineage_slot): a node has none of
+  /// its own.
+  std::uint64_t& lineage_slot() noexcept;
   [[nodiscard]] std::size_t num_nodes() const noexcept override;
   net::Clock& clock() noexcept override;
   net::Transport& transport() noexcept override { return *this; }

@@ -93,6 +93,9 @@ class World final : public net::Services {
     return lineage_parent_;
   }
   void set_lineage_parent(std::uint64_t span) noexcept override { lineage_parent_ = span; }
+  /// The run's one lineage slot, for net::LineageScope and net::Stack to
+  /// use without a virtual call; every node's lineage_slot() is this one.
+  std::uint64_t& lineage_slot() noexcept { return lineage_parent_; }
 
   /// Optional hook applied to every packet as it enters the link layer
   /// (Node::send_unfiltered, after lineage stamping, before the MAC).

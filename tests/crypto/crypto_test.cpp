@@ -1,5 +1,6 @@
 // Tests for SHA-256 / HMAC, prime generation, RSA, Shamir sharing, Shoup
-// threshold RSA, the two ThresholdScheme implementations, and NS-Lowe.
+// threshold RSA, the two ThresholdScheme implementations, the model PKI, and
+// NS-Lowe.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +10,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/model_scheme.hpp"
 #include "crypto/ns_lowe.hpp"
+#include "crypto/pki.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
@@ -158,37 +160,63 @@ TEST(Hmac, EmptyKey) {
             "c25cf64db0f3339e7e80fbd6e0be879956a6a3d7e4987a2a4d01fb90f27b5639");
 }
 
+// H((K0 ^ opad) || H((K0 ^ ipad) || m)) from the incremental Sha256, with
+// K0 the key zero-padded to a block (hashed first when longer than one).
+Digest textbook_hmac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+  std::array<std::uint8_t, 64> k0{};
+  if (key.size() > k0.size()) {
+    const Digest kd = Sha256::hash(key);
+    std::copy(kd.begin(), kd.end(), k0.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k0.begin());
+  }
+  std::array<std::uint8_t, 64> pad{};
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = k0[i] ^ 0x36;
+  Sha256 inner;
+  inner.update(pad);
+  inner.update(msg);
+  const Digest inner_digest = inner.finish();
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = k0[i] ^ 0x5c;
+  Sha256 outer;
+  outer.update(pad);
+  outer.update(inner_digest);
+  return outer.finish();
+}
+
 TEST(HmacKey, MacMatchesTextbookHmac) {
-  // H((K ^ opad) || H((K ^ ipad) || m)), built from one-shot Sha256::hash,
-  // for every message length 0-200 and keys shorter than, as long as and
-  // longer than the 64-byte block.
+  // Every message length 0-300 (each padding case: the tail and its length
+  // in one block or spilling into a second, whole blocks compressed in
+  // place) under keys shorter than, as long as and longer than a block.
   std::mt19937_64 eng{2104};
-  for (const std::size_t key_len : {0u, 20u, 32u, 64u, 65u, 131u}) {
+  for (const std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 200u}) {
     std::vector<std::uint8_t> key(key_len);
     for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(eng());
-    std::vector<std::uint8_t> k0(64, 0);
-    if (key_len > 64) {
-      const Digest kd = Sha256::hash(key);
-      std::copy(kd.begin(), kd.end(), k0.begin());
-    } else {
-      std::copy(key.begin(), key.end(), k0.begin());
-    }
     const HmacKey schedule{key};
-    for (std::size_t len = 0; len <= 200; ++len) {
+    for (std::size_t len = 0; len <= 300; ++len) {
       std::vector<std::uint8_t> msg(len);
       for (std::uint8_t& b : msg) b = static_cast<std::uint8_t>(eng());
-
-      std::vector<std::uint8_t> inner(k0);
-      for (std::uint8_t& b : inner) b ^= 0x36;
-      inner.insert(inner.end(), msg.begin(), msg.end());
-      const Digest inner_digest = Sha256::hash(inner);
-      std::vector<std::uint8_t> outer(k0);
-      for (std::uint8_t& b : outer) b ^= 0x5c;
-      outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
-      const Digest textbook = Sha256::hash(outer);
-
+      const Digest textbook = textbook_hmac(key, msg);
       ASSERT_EQ(schedule.mac(msg), textbook) << "key " << key_len << " msg " << len;
       ASSERT_EQ(hmac_sha256(key, msg), textbook) << "key " << key_len << " msg " << len;
+    }
+  }
+}
+
+TEST(HmacKey, PrefixedMacMatchesMacOfTheJoinedMessage) {
+  // mac(prefix, msg) is the MAC of prefix || msg at every split, so blocks
+  // straddling the two parts are assembled correctly.
+  std::mt19937_64 eng{4231};
+  Digest key{};
+  for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(eng());
+  const HmacKey schedule{key};
+  for (std::size_t len = 0; len <= 150; ++len) {
+    std::vector<std::uint8_t> joined(len);
+    for (std::uint8_t& b : joined) b = static_cast<std::uint8_t>(eng());
+    const Digest textbook = textbook_hmac(key, joined);
+    for (std::size_t split = 0; split <= len; ++split) {
+      const std::span<const std::uint8_t> all{joined};
+      ASSERT_EQ(schedule.mac(all.first(split), all.subspan(split)), textbook)
+          << "len " << len << " split " << split;
     }
   }
 }
@@ -433,6 +461,118 @@ TEST_P(SchemeTest, OnAirSizesArePositive) {
 
 INSTANTIATE_TEST_SUITE_P(ModelAndShoup, SchemeTest, ::testing::Values(false, true),
                          [](const auto& info) { return info.param ? "Shoup" : "Model"; });
+
+// ------------------------------------------------ Model keys, once per run
+
+// The simulation-grade constructions derived from scratch with the textbook
+// HMAC: K_L = HMAC(SHA256(le64 seed), "K_L:<L>"), S_{L,i} = HMAC(K_L,
+// "share:<i>"), a level-L tag HMAC(key, le32 L || msg), and a PKI node key
+// HMAC(SHA256(le64 seed), "pki:<i>"). The schemes build each key's schedule
+// once; these pin what the stored schedules must still compute.
+Digest seed_digest(std::uint64_t seed) {
+  std::array<std::uint8_t, 8> le{};
+  for (std::size_t i = 0; i < le.size(); ++i) le[i] = static_cast<std::uint8_t>(seed >> (8 * i));
+  return Sha256::hash(le);
+}
+
+Digest fresh_master(std::uint64_t seed, int level) {
+  return textbook_hmac(seed_digest(seed), bytes("K_L:" + std::to_string(level)));
+}
+
+Digest fresh_share(std::uint64_t seed, int level, std::uint32_t id) {
+  return textbook_hmac(fresh_master(seed, level), bytes("share:" + std::to_string(id)));
+}
+
+std::vector<std::uint8_t> fresh_tag(const Digest& key, int level,
+                                    std::span<const std::uint8_t> msg, std::size_t on_air) {
+  std::vector<std::uint8_t> prefixed;
+  for (int i = 0; i < 4; ++i) prefixed.push_back(static_cast<std::uint8_t>(level >> (8 * i)));
+  prefixed.insert(prefixed.end(), msg.begin(), msg.end());
+  const Digest tag = textbook_hmac(key, prefixed);
+  std::vector<std::uint8_t> out(tag.begin(), tag.end());
+  out.resize(on_air, 0);
+  return out;
+}
+
+TEST(ModelKeys, SchemeMatchesAFreshDerivationForIssuedAndNeverIssuedIds) {
+  constexpr std::uint64_t kSeed = 77;
+  constexpr std::size_t kOnAir = 1024 / 8;
+  ModelThresholdScheme scheme{kSeed, 3, 1024};
+  const ModelThresholdScheme fresh_scheme{kSeed, 3, 1024};  // issues nothing
+  const auto signer = scheme.issue_signer(2);                // 9 is never issued
+  const auto msg = bytes("agreed value");
+  for (int level = 1; level <= 3; ++level) {
+    const PartialSig issued = signer->partial_sign(level, msg);
+    ASSERT_EQ(issued.data, fresh_tag(fresh_share(kSeed, level, 2), level, msg, kOnAir));
+    EXPECT_TRUE(scheme.verify_partial(msg, issued));
+    EXPECT_TRUE(fresh_scheme.verify_partial(msg, issued));
+    const PartialSig never{9, level, fresh_tag(fresh_share(kSeed, level, 9), level, msg, kOnAir)};
+    EXPECT_TRUE(scheme.verify_partial(msg, never));
+
+    for (const PartialSig& good : {issued, never}) {
+      PartialSig tampered = good;
+      tampered.data[31] ^= 0x01;
+      EXPECT_FALSE(scheme.verify_partial(msg, tampered)) << good.signer;
+      PartialSig cross_level = good;
+      cross_level.level = level % 3 + 1;
+      EXPECT_FALSE(scheme.verify_partial(msg, cross_level)) << good.signer;
+      PartialSig other_signer = good;
+      other_signer.signer = good.signer == 2 ? 9 : 2;
+      EXPECT_FALSE(scheme.verify_partial(msg, other_signer)) << good.signer;
+      EXPECT_FALSE(scheme.verify_partial(bytes("other value"), good)) << good.signer;
+    }
+  }
+
+  const auto share_partial = [&](std::uint32_t id, int level) {
+    return PartialSig{id, level, fresh_tag(fresh_share(kSeed, level, id), level, msg, kOnAir)};
+  };
+  // Level-1 partials from three signers never make a level-2 signature.
+  const std::vector<PartialSig> level_one{signer->partial_sign(1, msg), share_partial(9, 1),
+                                          share_partial(4, 1)};
+  EXPECT_FALSE(scheme.combine(2, msg, level_one).has_value());
+  const std::vector<PartialSig> level_two{signer->partial_sign(2, msg), share_partial(9, 2),
+                                          share_partial(4, 2)};
+  const auto sig = scheme.combine(2, msg, level_two);
+  ASSERT_TRUE(sig.has_value());
+  EXPECT_EQ(sig->data, fresh_tag(fresh_master(kSeed, 2), 2, msg, kOnAir));
+  EXPECT_TRUE(scheme.verify(msg, *sig));
+  ThresholdSignature cross_level = *sig;
+  cross_level.level = 1;
+  EXPECT_FALSE(scheme.verify(msg, cross_level));
+  ThresholdSignature tampered = *sig;
+  tampered.data[7] ^= 0x40;
+  EXPECT_FALSE(scheme.verify(msg, tampered));
+}
+
+TEST(ModelKeys, PkiMatchesAFreshDerivationForIssuedAndNeverIssuedIds) {
+  constexpr std::uint64_t kSeed = 78;
+  constexpr std::size_t kOnAir = 512 / 8;
+  ModelPki pki{kSeed, 512};
+  const ModelPki fresh_pki{kSeed, 512};  // issues nothing
+  const auto signer = pki.issue_signer(3);
+  const auto msg = bytes("RREP for 12");
+  const auto fresh_sig = [&](std::uint32_t id) {
+    const Digest node_key = textbook_hmac(seed_digest(kSeed), bytes("pki:" + std::to_string(id)));
+    const Digest tag = textbook_hmac(node_key, msg);
+    std::vector<std::uint8_t> out(tag.begin(), tag.end());
+    out.resize(kOnAir, 0);
+    return out;
+  };
+  const std::vector<std::uint8_t> issued = signer->sign(msg);
+  ASSERT_EQ(issued, fresh_sig(3));
+  EXPECT_TRUE(pki.verify(3, msg, issued));
+  EXPECT_TRUE(fresh_pki.verify(3, msg, issued));
+  EXPECT_FALSE(pki.verify(4, msg, issued));
+  EXPECT_FALSE(pki.verify(3, bytes("RREP for 13"), issued));
+  const std::vector<std::uint8_t> never = fresh_sig(7);
+  EXPECT_TRUE(pki.verify(7, msg, never));
+  EXPECT_FALSE(pki.verify(3, msg, never));
+  for (std::vector<std::uint8_t> tampered : {issued, never}) {
+    tampered[0] ^= 0x01;
+    EXPECT_FALSE(pki.verify(3, msg, tampered));
+    EXPECT_FALSE(pki.verify(7, msg, tampered));
+  }
+}
 
 // ---------------------------------------------------------------- NS-Lowe
 

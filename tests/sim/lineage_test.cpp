@@ -49,6 +49,28 @@ ChainRun run_chain(std::uint64_t seed, bool traced) {
   return result;
 }
 
+// The World, its nodes and every scope share the run's one lineage slot:
+// a scope opened through a node's slot is the world's context, a scope
+// opened through the Services interface nests inside it, and each restores
+// what it found on exit.
+TEST(LineageScope, NodeScopeIsTheWorldsAndRestoresOnExit) {
+  World world{WorldConfig{}};
+  Node& node = world.add_node(std::make_unique<StaticMobility>(Vec2{0, 0}));
+  EXPECT_EQ(&node.lineage_slot(), &world.lineage_slot());
+  world.set_lineage_parent(7);
+  {
+    const LineageScope scope{node.lineage_slot(), 42};
+    EXPECT_EQ(world.lineage_parent(), 42u);
+    EXPECT_EQ(node.lineage_parent(), 42u);
+    {
+      const LineageScope nested{node, 43};
+      EXPECT_EQ(world.lineage_parent(), 43u);
+    }
+    EXPECT_EQ(world.lineage_parent(), 42u);
+  }
+  EXPECT_EQ(world.lineage_parent(), 7u);
+}
+
 TEST(Lineage, DiscoveryDescendsFromBufferedPacket) {
   const ChainRun run = run_chain(11, true);
   ASSERT_FALSE(run.events.empty());

@@ -1,7 +1,8 @@
 // tracq tests: JSONL loading (live traces and flight-recorder dumps alike),
 // lineage reconstruction, and the diff contract the determinism workflow
 // depends on — identical pair reports no divergence, a single mutated record
-// is pinpointed exactly, and corrupt input fails gracefully.
+// is pinpointed exactly (a ring-wrapped flight dump included), and corrupt
+// input fails gracefully.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "aodv/aodv.hpp"
 #include "sim/flight.hpp"
+#include "sim/world.hpp"
+#include "traffic/cbr.hpp"
 
 #define TRACQ_NO_MAIN
 #include "tools/tracq.cpp"
@@ -219,6 +223,61 @@ TEST(TracqFlight, DumpEqualsTheLiveTraceTail) {
   EXPECT_FALSE(first_divergence(*dump, *expected).has_value());
   std::remove(dump_path.c_str());
   std::remove(tail_path.c_str());
+}
+
+// The post-mortem diff: a flight dump whose ring has wrapped starts
+// mid-run, so tracq aligns it on its first record in the same run's full
+// trace. Over the overlap the two read identical, and a one-line edit in the
+// dump is reported at that record, not at record 0.
+TEST(TracqDiff, RingWrappedDumpAlignsOnTheLiveTrace) {
+  constexpr std::size_t kRing = 1000;
+  const std::string live_path = temp_path("tracq_ring_live.jsonl");
+  const std::string dump_path = temp_path("tracq_ring_dump.jsonl");
+  {
+    // ICC_TRACE=all ICC_FLIGHT=1 ICC_FLIGHT_RECORDS=1000, set up through
+    // the tracer as Tracer::configure_from_env does.
+    std::ofstream live{live_path, std::ios::trunc};
+    sim::JsonlTraceSink sink{live};  // outlives the world that writes to it
+    sim::WorldConfig config;
+    config.seed = 5;
+    sim::World world{config};
+    world.tracer().add_sink(&sink, sim::kAllTraceCategories);
+    world.tracer().enable_flight(kRing, temp_path("tracq_ring"));
+    std::vector<std::unique_ptr<aodv::Aodv>> agents;
+    for (sim::NodeId i = 0; i < 3; ++i) {
+      world.add_node(std::make_unique<sim::StaticMobility>(sim::Vec2{200.0 * i, 0}));
+      agents.push_back(std::make_unique<aodv::Aodv>(world.node(i), aodv::Aodv::Params{}));
+      traffic::CbrConnection::attach_sink(*agents.back());
+    }
+    traffic::CbrConnection::Params cbr;
+    cbr.rate_pps = 20.0;
+    cbr.start = 0.1;
+    traffic::CbrConnection flow{*agents[0], 2, cbr};
+    world.run_until(20.0);
+    ASSERT_TRUE(world.tracer().flight()->dump_jsonl(dump_path));
+  }
+  std::string error;
+  const auto live = load(live_path, error);
+  ASSERT_TRUE(live.has_value()) << error;
+  const auto dump = load(dump_path, error);
+  ASSERT_TRUE(dump.has_value()) << error;
+  ASSERT_EQ(dump->records.size(), kRing);
+  ASSERT_GT(live->records.size(), kRing);  // the ring wrapped
+
+  const std::size_t offset = live->records.size() - kRing;
+  EXPECT_EQ(align(*dump, *live).b, offset);
+  EXPECT_FALSE(first_divergence(*dump, *live).has_value());
+  EXPECT_FALSE(first_divergence(*live, *dump).has_value());
+
+  Trace edited = *dump;
+  edited.records[417].line.insert(1, " ");
+  const auto div = first_divergence(*live, edited);
+  ASSERT_TRUE(div.has_value());
+  EXPECT_EQ(div->at.a, offset);
+  EXPECT_EQ(div->index, 417u);
+  EXPECT_EQ(div->a, live->records[offset + 417].line);
+  std::remove(live_path.c_str());
+  std::remove(dump_path.c_str());
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 //       pairs (fault_detected whose parent is the fault_injected span)
 //   tracq diff <a> <b>
 //       first divergent record between two same-seed traces (exit 1 when
-//       they diverge, 0 when byte-identical)
+//       they diverge, 0 when byte-identical); a trace that starts later,
+//       such as a flight-recorder dump, is compared from where its first
+//       record sits in the other
 //   tracq export <file> <out.json>
 //       write a Chrome/Perfetto trace-event JSON file
 //   tracq --self-test
@@ -311,22 +313,55 @@ inline std::map<std::string, LatencyRow> detection_latency(const std::vector<Rec
 
 // ------------------------------------------------------------------ diff
 
+/// Where the comparison of two traces starts. A flight-recorder dump is the
+/// tail of a live trace whose ring dropped everything before it, so the
+/// trace that starts later is aligned on its first record, found in the
+/// other trace. Traces that start together, or whose later start is not
+/// found in the other, are compared from their first records.
+struct Alignment {
+  std::size_t a{0};  ///< records of a before the compared overlap
+  std::size_t b{0};  ///< records of b before the compared overlap
+};
+
+inline Alignment align(const Trace& a, const Trace& b) {
+  if (a.records.empty() || b.records.empty() || a.records[0].line == b.records[0].line) {
+    return {};
+  }
+  const auto find = [](const Trace& in, const std::string& line) -> std::size_t {
+    for (std::size_t i = 1; i < in.records.size(); ++i) {
+      if (in.records[i].line == line) return i;
+    }
+    return 0;
+  };
+  if (b.records[0].t >= a.records[0].t) {
+    if (const std::size_t k = find(a, b.records[0].line); k != 0) return {k, 0};
+  }
+  if (a.records[0].t >= b.records[0].t) {
+    if (const std::size_t k = find(b, a.records[0].line); k != 0) return {0, k};
+  }
+  return {};
+}
+
 struct Divergence {
-  std::size_t index;  ///< first differing record (0-based)
+  std::size_t index;  ///< first differing record (0-based) counted from `at`
   std::string a, b;   ///< the two lines ("" when one side ended)
+  Alignment at;       ///< where the compared overlap starts in each trace
 };
 
 inline std::optional<Divergence> first_divergence(const Trace& a, const Trace& b) {
-  const std::size_t n = std::min(a.records.size(), b.records.size());
+  const Alignment at = align(a, b);
+  const std::size_t len_a = a.records.size() - at.a;
+  const std::size_t len_b = b.records.size() - at.b;
+  const std::size_t n = std::min(len_a, len_b);
   for (std::size_t i = 0; i < n; ++i) {
-    if (a.records[i].line != b.records[i].line) {
-      return Divergence{i, a.records[i].line, b.records[i].line};
-    }
+    const std::string& la = a.records[at.a + i].line;
+    const std::string& lb = b.records[at.b + i].line;
+    if (la != lb) return Divergence{i, la, lb, at};
   }
-  if (a.records.size() != b.records.size()) {
-    const bool a_longer = a.records.size() > b.records.size();
-    return Divergence{n, a_longer ? a.records[n].line : std::string{},
-                      a_longer ? std::string{} : b.records[n].line};
+  if (len_a != len_b) {
+    const bool a_longer = len_a > len_b;
+    return Divergence{n, a_longer ? a.records[at.a + n].line : std::string{},
+                      a_longer ? std::string{} : b.records[at.b + n].line, at};
   }
   return std::nullopt;
 }
@@ -444,16 +479,27 @@ int cmd_diff(int argc, char** argv) {
   if (!a) return 2;
   const auto b = load_or_complain(argv[1]);
   if (!b) return 2;
+  const icc::tracq::Alignment at = icc::tracq::align(*a, *b);
+  const bool aligned = at.a != 0 || at.b != 0;
+  if (aligned) {
+    std::printf("aligned: %s starts at record %zu of %s (0-based); comparing from there\n",
+                at.a != 0 ? "b" : "a", at.a != 0 ? at.a : at.b, at.a != 0 ? "a" : "b");
+  }
   const auto div = icc::tracq::first_divergence(*a, *b);
   if (!div) {
-    std::printf("identical: %zu records\n", a->records.size());
+    std::printf("identical: %zu records\n", a->records.size() - at.a);
     return 0;
   }
-  std::printf("divergence at record %zu (0-based):\n", div->index);
+  if (aligned) {
+    std::printf("divergence at record %zu of a, %zu of b (0-based):\n", at.a + div->index,
+                at.b + div->index);
+  } else {
+    std::printf("divergence at record %zu (0-based):\n", div->index);
+  }
   std::printf("  a: %s\n", div->a.empty() ? "<end of trace>" : div->a.c_str());
   std::printf("  b: %s\n", div->b.empty() ? "<end of trace>" : div->b.c_str());
-  std::printf("(%zu records in a, %zu in b, first %zu identical)\n", a->records.size(),
-              b->records.size(), div->index);
+  std::printf("(%zu records in a, %zu in b, first %zu %sidentical)\n", a->records.size(),
+              b->records.size(), div->index, aligned ? "compared " : "");
   return 1;
 }
 
@@ -550,6 +596,13 @@ int self_test() {
   b.records.pop_back();
   const auto tail = first_divergence(a, b);
   expect(tail.has_value() && tail->index == 4 && tail->b.empty(), "length divergence");
+  // A trace that starts later (a ring-wrapped dump) is compared from where
+  // its first record sits in the other.
+  b.records.assign(records.begin() + 2, records.end());
+  expect(!first_divergence(a, b).has_value() && align(a, b).a == 2, "aligned suffix");
+  b.records[1].line += "x";
+  const auto late = first_divergence(a, b);
+  expect(late.has_value() && late->index == 1 && late->at.a == 2, "aligned divergence index");
 
   if (failures == 0) std::printf("tracq --self-test: OK\n");
   return failures == 0 ? 0 : 1;
