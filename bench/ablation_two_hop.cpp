@@ -38,8 +38,8 @@ int main() {
     std::vector<std::string> labels;
     std::vector<std::string> keys;
     for (const int level : levels) {
-      labels.push_back("L=" + std::to_string(level));
-      keys.push_back("l" + std::to_string(level));
+      labels.emplace_back("L=").append(std::to_string(level));
+      keys.emplace_back("l").append(std::to_string(level));
     }
     campaign.grid.axis("level", labels, keys);
     campaign.grid.axis("circle", {"one-hop", "two-hop"}, {"h1", "h2"});

@@ -5,7 +5,7 @@
 // Environment knobs: ICC_RUNS (default 5, paper: 50), ICC_SIM_TIME (default
 // 300 s, the paper's value), ICC_THREADS (parallel runs; default 1),
 // ICC_CAMPAIGN_JOURNAL (checkpoint/resume path), ICC_JSON (path for a
-// structured run report; ".csv" suffix selects CSV, anything else JSON).
+// structured JSON run report).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,7 +60,7 @@ int main() {
     keys.clear();
     for (const int m : attacker_counts) {
       labels.push_back(std::to_string(m));
-      keys.push_back("m" + std::to_string(m));
+      keys.emplace_back("m").append(std::to_string(m));
     }
     campaign.grid.axis("malicious", labels, keys);
   }

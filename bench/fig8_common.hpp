@@ -104,7 +104,7 @@ inline void run_fig8(const char* experiment, double kt, int runs, double sim_tim
   print_table("Fig 8(f): target localization error", "m", "loc_error_m", 1.0);
 
   // Structured export: per (config, fault) cell, the cross-run series for
-  // the headline metrics. ICC_JSON selects the path (".csv" => CSV).
+  // the headline metrics, as JSON at the path ICC_JSON names.
   sim::RunReport report;
   report.set_meta("experiment", experiment);
   report.set_meta("kt", kt);

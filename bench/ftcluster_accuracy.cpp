@@ -11,7 +11,7 @@
 //   at the optimal offset.
 //
 // Environment knobs: ICC_TRIALS (default 2000), ICC_JSON (structured
-// report path, ".csv" => CSV).
+// JSON report path).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>

@@ -5,8 +5,8 @@
 // Crypto-Processor ablation: round latency with hardware-assisted versus
 // software cryptography cost models.
 //
-// Environment knobs: ICC_ROUNDS (default 40), ICC_JSON (structured report
-// path, ".csv" => CSV).
+// Environment knobs: ICC_ROUNDS (default 40), ICC_JSON (structured JSON
+// report path).
 #include <cstdio>
 #include <cstdlib>
 #include <memory>

@@ -152,16 +152,10 @@ void Aodv::forward_data(const sim::Packet& packet, const DataMsg&) {
                                packet.uid, packet.size_bytes, 0.0, "no_route", packet.uid,
                                packet.parent});
   if (params_.send_rerr) {
-    auto rerr = std::make_shared<RerrMsg>();
+    RerrMsg rerr;
     const RouteEntry* route = routes_.find(dest);
-    rerr->unreachable.emplace_back(dest, route != nullptr ? route->dest_seq + 1 : 0);
-    sim::Packet p;
-    p.src = node_.id();
-    p.dst = sim::kBroadcast;
-    p.port = sim::Port::kAodv;
-    p.size_bytes = rerr->wire_size();
-    p.body = std::move(rerr);
-    node_.transport().send(std::move(p), sim::kBroadcast);
+    rerr.unreachable.emplace_back(dest, route != nullptr ? route->dest_seq + 1 : 0);
+    broadcast_rerr(std::move(rerr));
   }
 }
 
@@ -175,19 +169,7 @@ void Aodv::send_data_packet(sim::Packet packet, sim::NodeId next_hop) {
 void Aodv::start_discovery(sim::NodeId dest) {
   PendingDiscovery& pending = pending_[dest];
   pending.attempts = 1;
-  ++own_seq_;
-
-  RreqMsg rreq;
-  rreq.orig = node_.id();
-  rreq.rreq_id = next_rreq_id_++;
-  rreq.orig_seq = own_seq_;
-  rreq.dest = dest;
-  const RouteEntry* route = routes_.find(dest);
-  rreq.dest_seq_known = route != nullptr && route->seq_known;
-  rreq.dest_seq = rreq.dest_seq_known ? route->dest_seq : 0;
-  rreq.hop_count = 0;
-  seen_rreqs_.insert(rreq_key(rreq));
-  broadcast_rreq(rreq);
+  originate_rreq(dest);
 
   pending.retry_event = node_.clock().schedule_in(
       params_.rreq_retry_interval, [this, dest] { retry_discovery(dest); },
@@ -207,6 +189,14 @@ void Aodv::retry_discovery(sim::NodeId dest) {
     return;
   }
   ++pending.attempts;
+  originate_rreq(dest);
+  pending.retry_event = node_.clock().schedule_in(
+      params_.rreq_retry_interval * (1 << pending.attempts), [this, dest] {
+        retry_discovery(dest);
+      }, net::EventTag::kRouting);
+}
+
+void Aodv::originate_rreq(sim::NodeId dest) {
   ++own_seq_;
   RreqMsg rreq;
   rreq.orig = node_.id();
@@ -219,10 +209,6 @@ void Aodv::retry_discovery(sim::NodeId dest) {
   rreq.hop_count = 0;
   seen_rreqs_.insert(rreq_key(rreq));
   broadcast_rreq(rreq);
-  pending.retry_event = node_.clock().schedule_in(
-      params_.rreq_retry_interval * (1 << pending.attempts), [this, dest] {
-        retry_discovery(dest);
-      }, net::EventTag::kRouting);
 }
 
 void Aodv::broadcast_rreq(const RreqMsg& rreq) {
@@ -399,14 +385,18 @@ void Aodv::handle_rerr(const RerrMsg& rerr, sim::NodeId from) {
     }
   }
   if (!propagated.unreachable.empty() && params_.send_rerr) {
-    sim::Packet packet;
-    packet.src = node_.id();
-    packet.dst = sim::kBroadcast;
-    packet.port = sim::Port::kAodv;
-    packet.size_bytes = propagated.wire_size();
-    packet.body = std::make_shared<RerrMsg>(propagated);
-    node_.transport().send(std::move(packet), sim::kBroadcast);
+    broadcast_rerr(std::move(propagated));
   }
+}
+
+void Aodv::broadcast_rerr(RerrMsg rerr) {
+  sim::Packet packet;
+  packet.src = node_.id();
+  packet.dst = sim::kBroadcast;
+  packet.port = sim::Port::kAodv;
+  packet.size_bytes = rerr.wire_size();
+  packet.body = std::make_shared<RerrMsg>(std::move(rerr));
+  node_.transport().send(std::move(packet), sim::kBroadcast);
 }
 
 void Aodv::on_link_failure(const sim::Packet& packet, sim::NodeId next_hop) {
@@ -435,15 +425,7 @@ void Aodv::on_link_failure(const sim::Packet& packet, sim::NodeId next_hop) {
       rerr.unreachable.emplace_back(dest, entry.dest_seq);
     }
   });
-  if (!rerr.unreachable.empty() && params_.send_rerr) {
-    sim::Packet p;
-    p.src = node_.id();
-    p.dst = sim::kBroadcast;
-    p.port = sim::Port::kAodv;
-    p.size_bytes = rerr.wire_size();
-    p.body = std::make_shared<RerrMsg>(rerr);
-    node_.transport().send(std::move(p), sim::kBroadcast);
-  }
+  if (!rerr.unreachable.empty() && params_.send_rerr) broadcast_rerr(std::move(rerr));
   // Salvage: if we are the source of the failed packet, try to rediscover.
   if (packet.src == node_.id()) {
     const auto* data = packet.body_as<DataMsg>();

@@ -99,7 +99,11 @@ class Aodv {
   void retry_discovery(sim::NodeId dest);
   void flush_buffer(sim::NodeId dest);
   void drop_buffered(sim::NodeId dest);
+  /// A fresh RREQ for `dest` under a new own sequence number, marked seen
+  /// and flooded: every discovery attempt, first or retry.
+  void originate_rreq(sim::NodeId dest);
   void broadcast_rreq(const RreqMsg& rreq);
+  void broadcast_rerr(RerrMsg rerr);
   void send_data_packet(sim::Packet packet, sim::NodeId next_hop);
   void on_link_failure(const sim::Packet& packet, sim::NodeId next_hop);
   void schedule_seen_cache_cleanup();

@@ -1,8 +1,6 @@
 #include "aodv/blackhole_experiment.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -47,12 +45,9 @@ BlackholeExperimentResult run_blackhole_experiment(const BlackholeExperimentConf
                                           config.gray_off_period)
                         .protocol;
   }
-  // A protocol-only plan never reaches the InjectionEngine's validation, so
-  // check here: every malformed plan dies at setup whatever its shape.
-  if (const std::string err = plan.validate(); !err.empty()) {
-    std::fprintf(stderr, "blackhole_experiment: invalid fault plan: %s\n", err.c_str());
-    std::abort();
-  }
+  // A protocol-only plan never reaches the InjectionEngine, so gate here:
+  // every malformed plan dies at setup whatever its shape.
+  fault::require_valid_plan(plan, static_cast<std::size_t>(config.num_nodes));
   std::map<sim::NodeId, const fault::ProtocolFault*> attackers;
   for (const fault::ProtocolFault& spec : plan.protocol) attackers.emplace(spec.node, &spec);
 

@@ -113,6 +113,14 @@ Digest hmac_sha256(const Digest& key, std::span<const std::uint8_t> msg) {
   return hmac_sha256(std::span<const std::uint8_t>{key}, msg);
 }
 
+Digest dealer_seed_key(std::uint64_t seed) {
+  std::array<std::uint8_t, 8> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed >> (8 * i));
+  }
+  return Sha256::hash(std::span<const std::uint8_t>{bytes});
+}
+
 bool digest_equal(const Digest& a, const Digest& b) noexcept {
   unsigned diff = 0;
   for (std::size_t i = 0; i < a.size(); ++i) diff |= static_cast<unsigned>(a[i] ^ b[i]);

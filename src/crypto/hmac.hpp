@@ -3,6 +3,7 @@
 // scheme's share tags.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -37,6 +38,11 @@ Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8
 /// Convenience for digest-sized keys and string messages.
 Digest hmac_sha256(const Digest& key, std::string_view msg);
 Digest hmac_sha256(const Digest& key, std::span<const std::uint8_t> msg);
+
+/// The model dealers' root key: SHA-256 of `seed`'s 8 little-endian bytes.
+/// ModelThresholdScheme derives its level keys K_L and ModelPki its node
+/// keys from it by HMAC.
+Digest dealer_seed_key(std::uint64_t seed);
 
 /// Constant-time-style digest comparison (simulation does not need the
 /// timing guarantee, but the idiom is kept for fidelity).

@@ -7,12 +7,6 @@ namespace icc::crypto {
 
 namespace {
 
-Digest u64_key(std::uint64_t v) {
-  std::array<std::uint8_t, 8> bytes{};
-  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  return Sha256::hash(std::span<const std::uint8_t>{bytes});
-}
-
 std::span<const std::uint8_t> as_bytes(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
@@ -57,9 +51,9 @@ class ModelSigner final : public ThresholdSigner {
 
 ModelThresholdScheme::ModelThresholdScheme(std::uint64_t seed, int max_level, int key_bits)
     : max_level_{max_level}, sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {
-  const Digest seed_key = u64_key(seed);
+  const Digest root = dealer_seed_key(seed);
   for (int level = 1; level <= max_level; ++level) {
-    masters_.emplace_back(hmac_sha256(seed_key, "K_L:" + std::to_string(level)));
+    masters_.emplace_back(hmac_sha256(root, "K_L:" + std::to_string(level)));
   }
 }
 

@@ -44,11 +44,7 @@ class RsaNodeSigner final : public NodeSigner {
 }  // namespace
 
 ModelPki::ModelPki(std::uint64_t seed, int key_bits)
-    : sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {
-  std::array<std::uint8_t, 8> bytes{};
-  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(seed >> (8 * i));
-  seed_key_ = Sha256::hash(std::span<const std::uint8_t>{bytes});
-}
+    : seed_key_{dealer_seed_key(seed)}, sig_bytes_{static_cast<std::size_t>(key_bits) / 8} {}
 
 HmacKey ModelPki::derive_key(std::uint32_t id) const {
   return HmacKey{hmac_sha256(seed_key_, "pki:" + std::to_string(id))};

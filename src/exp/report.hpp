@@ -7,7 +7,7 @@ class RunReport;
 
 namespace icc::exp {
 
-/// Write `report` to the path ICC_JSON names (a ".csv" suffix selects CSV)
+/// Write `report` as JSON to the path ICC_JSON names, whatever its suffix,
 /// and announce it on stdout; do nothing when ICC_JSON is unset. A report
 /// that cannot be written exits 1 naming the path: a campaign asked for a
 /// file must not end as a success without it.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "fault/ledger.hpp"
-#include "sim/check.hpp"
 #include "sim/world.hpp"
 
 namespace icc::fault {
@@ -21,15 +18,6 @@ constexpr double kMinBurstMean = 1e-6;  ///< guards exponential() against /0
 /// puts the event strictly past the boundary, so the chain always advances
 /// by a full schedule segment.
 constexpr double kEdgeDelay = 1e-9;
-
-// A bad plan is a configuration error, not a debug invariant: fail
-// unconditionally (ICC_ASSERT compiles out in Release) and loudly, before
-// the run can do anything undefined with it.
-[[noreturn]] void fatal_plan(const std::string& why) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): abort path; nothing races a process that is about to die
-  std::fprintf(stderr, "fault: invalid plan: %s\n", why.c_str());
-  std::abort();
-}
 }  // namespace
 
 InjectionEngine::InjectionEngine(sim::World& world, FaultPlan plan, InjectionOptions options)
@@ -40,12 +28,7 @@ InjectionEngine::InjectionEngine(sim::World& world, FaultPlan plan, InjectionOpt
       // plan must leave the world's RNG genealogy untouched (wormholes draw
       // no randomness, so they do not fork either).
       channel_rng_{plan_.channel.empty() ? sim::Rng{0} : world.fork_rng(kChannelRngSalt)} {
-  if (const std::string err = plan_.validate(); !err.empty()) fatal_plan(err);
-  for (const WormholeFault& w : plan_.wormhole) {
-    if (w.a >= world_.num_nodes() || w.b >= world_.num_nodes()) {
-      fatal_plan("wormhole endpoint outside the world");
-    }
-  }
+  require_valid_plan(plan_, world_.num_nodes());
 
   if (!plan_.channel.empty() || !plan_.wormhole.empty()) {
     burst_.resize(plan_.channel.size());
@@ -73,7 +56,6 @@ InjectionEngine::InjectionEngine(sim::World& world, FaultPlan plan, InjectionOpt
   bool any_slow = false;
   for (std::size_t i = 0; i < plan_.node.size(); ++i) {
     const NodeFault& spec = plan_.node[i];
-    ICC_ASSERT(spec.node < world_.num_nodes(), "a node fault must address an existing node");
     if (spec.down.kind() != Schedule::Kind::kNever) {
       apply_down(i);
       schedule_down_edges(i);

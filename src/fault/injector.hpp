@@ -23,9 +23,9 @@
 // SensorFault specs). Experiments hand the same plan to all three, so one
 // FaultPlan describes the whole adversary.
 //
-// The constructor refuses an invalid plan (FaultPlan::validate) with a
-// printed message and an abort: a malformed plan must die at setup, not
-// corrupt a run.
+// The constructor runs require_valid_plan (plan.hpp) on the world it
+// hooks: a malformed plan, or one naming a node outside the world, dies at
+// setup with a printed message instead of corrupting a run.
 //
 // Determinism: the engine forks exactly one RNG stream, and only when the
 // plan has channel specs; wormholes draw no randomness at all, and a plan
@@ -80,7 +80,7 @@ class InjectionEngine {
   /// Installs hooks for `plan` on `world`. Construct after every node has
   /// been added (node and wormhole specs address nodes by id) and keep alive
   /// until the run ends; the destructor removes the hooks. Aborts with a
-  /// message when the plan fails FaultPlan::validate().
+  /// message when the plan fails require_valid_plan() on `world`.
   InjectionEngine(sim::World& world, FaultPlan plan, InjectionOptions options = {});
   ~InjectionEngine();
 

@@ -1,6 +1,7 @@
 #include "fault/plan.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -169,6 +170,59 @@ std::string FaultPlan::validate() const {
     if (!f.when.valid()) return spec_error("sensor", i, "malformed schedule (negative time?)");
   }
   return {};
+}
+
+namespace {
+
+/// The first node id in `plan` outside a world of `num_nodes` nodes, as a
+/// validate()-style message; empty when every id names a node.
+std::string node_outside_world(const FaultPlan& plan, std::size_t num_nodes) {
+  const auto outside = [num_nodes](sim::NodeId id) { return id >= num_nodes; };
+  const auto error = [num_nodes](const char* section, std::size_t index, const char* role,
+                                 sim::NodeId id) {
+    char what[96];
+    std::snprintf(what, sizeof what, "%s outside the world (node %u, %zu nodes)", role, id,
+                  num_nodes);
+    return spec_error(section, index, what);
+  };
+  for (std::size_t i = 0; i < plan.channel.size(); ++i) {
+    const ChannelFault& f = plan.channel[i];
+    if (f.tx != sim::kNoNode && outside(f.tx)) return error("channel", i, "tx", f.tx);
+    if (f.rx != sim::kNoNode && outside(f.rx)) return error("channel", i, "rx", f.rx);
+  }
+  for (std::size_t i = 0; i < plan.node.size(); ++i) {
+    if (outside(plan.node[i].node)) return error("node", i, "node", plan.node[i].node);
+  }
+  for (std::size_t i = 0; i < plan.protocol.size(); ++i) {
+    const ProtocolFault& f = plan.protocol[i];
+    if (outside(f.node)) return error("protocol", i, "node", f.node);
+    if (f.partner != sim::kNoNode && outside(f.partner)) {
+      return error("protocol", i, "partner", f.partner);
+    }
+  }
+  for (std::size_t i = 0; i < plan.wormhole.size(); ++i) {
+    const WormholeFault& f = plan.wormhole[i];
+    for (const sim::NodeId end : {f.a, f.b}) {
+      if (outside(end)) return error("wormhole", i, "wormhole endpoint", end);
+    }
+  }
+  for (std::size_t i = 0; i < plan.sensor.size(); ++i) {
+    if (outside(plan.sensor[i].node)) return error("sensor", i, "node", plan.sensor[i].node);
+  }
+  return {};
+}
+
+}  // namespace
+
+void require_valid_plan(const FaultPlan& plan, std::size_t num_nodes) {
+  std::string why = plan.validate();
+  if (why.empty()) why = node_outside_world(plan, num_nodes);
+  if (why.empty()) return;
+  // A bad plan is a configuration error, not a debug invariant: fail
+  // unconditionally (ICC_ASSERT compiles out in Release) and loudly.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): abort path; nothing races a process that is about to die
+  std::fprintf(stderr, "fault: invalid plan: %s\n", why.c_str());
+  std::abort();
 }
 
 ProtocolFault black_hole(sim::NodeId node) {

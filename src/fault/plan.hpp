@@ -197,10 +197,8 @@ struct FaultPlan {
   /// well-formed schedules, at most one protocol personality per node, no
   /// overlapping down-windows on one node, distinct wormhole endpoints.
   /// Returns an empty string when the plan is sound, otherwise a one-line
-  /// description of the first problem — the InjectionEngine and the
-  /// misbehavior agents refuse (abort with the message) to run an invalid
-  /// plan, so a malformed plan dies loudly at setup instead of silently
-  /// doing something undefined mid-run.
+  /// description of the first problem. require_valid_plan() is the gate
+  /// that refuses to run a plan this rejects.
   [[nodiscard]] std::string validate() const;
 
   /// Seeded random plan for the chaos soak: same seed, same plan, always.
@@ -210,6 +208,16 @@ struct FaultPlan {
   /// kind a spec gets but never reshuffles the other specs' parameters.
   [[nodiscard]] static FaultPlan randomized(std::uint64_t seed, const RandomPlanParams& params);
 };
+
+/// The one fault-plan gate. Every experiment runs it at setup and the
+/// InjectionEngine again on the world it hooks, so a malformed plan dies
+/// loudly before the run instead of silently doing something undefined (or
+/// nothing) mid-run. Aborts, printing `fault: invalid plan: <why>`, unless
+/// `plan` passes FaultPlan::validate() and every node id a spec names — a
+/// channel end other than the kNoNode wildcard, a node fault's node, a
+/// protocol spec's node and partner, a wormhole endpoint, a sensor spec's
+/// node — is one of the world's `num_nodes` nodes.
+void require_valid_plan(const FaultPlan& plan, std::size_t num_nodes);
 
 /// The paper's black hole: inflate sequence numbers to attract routes, drop
 /// every attracted data packet (§5.1, Fig 6(e)).

@@ -20,6 +20,10 @@
 namespace icc::sensor {
 
 SensorExperimentResult run_sensor_experiment(const SensorExperimentConfig& config) {
+  // Sensor specs never reach the InjectionEngine, so gate here: the base
+  // station and the sensors are nodes 0..num_sensors.
+  fault::require_valid_plan(config.plan, 1 + static_cast<std::size_t>(config.num_sensors));
+
   sim::WorldConfig world_config;
   world_config.width = config.area;
   world_config.height = config.area;

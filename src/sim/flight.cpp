@@ -51,22 +51,6 @@ void install_dump_hooks_once() {
   });
 }
 
-/// Render `events` through a `Sink` into `path`, between `open` and `close`.
-template <typename Sink>
-bool write_events(const std::string& path, const std::vector<TraceEvent>& events,
-                  const char* open, const char* close) {
-  std::ofstream out{path, std::ios::trunc};
-  if (!out) {
-    std::fprintf(stderr, "icc: flight: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  out << open;
-  Sink sink{out};
-  for (const TraceEvent& e : events) sink.on_event(e);
-  out << close;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity, std::string dump_base)
@@ -97,22 +81,23 @@ std::vector<TraceEvent> FlightRecorder::snapshot() const {
 }
 
 bool FlightRecorder::dump_jsonl(const std::string& path) const {
-  return write_events<JsonlTraceSink>(path, snapshot(), "", "");
-}
-
-bool FlightRecorder::dump_perfetto(const std::string& path) const {
-  return write_events<PerfettoTraceSink>(path, snapshot(), "[\n", "]\n");
+  std::ofstream out{path, std::ios::trunc};
+  if (!out) {
+    std::fprintf(stderr, "icc: flight: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  JsonlTraceSink sink{out};
+  for (const TraceEvent& e : snapshot()) sink.on_event(e);
+  return static_cast<bool>(out);
 }
 
 void FlightRecorder::dump(const char* reason) const {
-  const std::string base = dump_base_ + "." + std::to_string(index_);
-  const std::string jsonl = base + ".jsonl";
-  const std::string perfetto = base + ".perfetto.json";
-  const bool ok = dump_jsonl(jsonl) & static_cast<int>(dump_perfetto(perfetto));
+  const std::string path = dump_base_ + "." + std::to_string(index_) + ".jsonl";
+  const bool ok = dump_jsonl(path);
   std::fprintf(stderr,
-               "icc: flight recorder %llu dumped (%s): %s %s (%llu of %llu events kept)%s\n",
+               "icc: flight recorder %llu dumped (%s): %s (%llu of %llu events kept)%s\n",
                static_cast<unsigned long long>(index_),
-               reason != nullptr ? reason : "requested", jsonl.c_str(), perfetto.c_str(),
+               reason != nullptr ? reason : "requested", path.c_str(),
                static_cast<unsigned long long>(
                    head_ < ring_.size() ? head_ : static_cast<std::uint64_t>(ring_.size())),
                static_cast<unsigned long long>(head_), ok ? "" : " [write failed]");

@@ -11,11 +11,10 @@
 //
 // The payoff is the dump path: on an ICC_CHECKED invariant failure, on a
 // coverage-ledger violation, or on a fatal signal, every live recorder
-// renders its ring, oldest first, through the sinks a live trace uses —
-// `<base>.<n>.jsonl` through JsonlTraceSink, the canonical trace format
-// every tool reads, and `<base>.<n>.perfetto.json` through
-// PerfettoTraceSink — turning "rerun the failing seed with tracing on" into
-// an immediate post-mortem.
+// renders its ring, oldest first, through the JsonlTraceSink a live trace
+// uses into one `<base>.<n>.jsonl` — the canonical trace format every tool
+// reads (`tracq export` turns it into a Chrome/Perfetto trace) — turning
+// "rerun the failing seed with tracing on" into an immediate post-mortem.
 //
 // An event's `detail` points at a string literal or a static name table
 // (the tracer's contract), so the ring keeps the pointer and needs no string
@@ -59,10 +58,8 @@ class FlightRecorder final : public TraceSink {
   /// (with a stderr note) if the file cannot be written — a post-mortem must
   /// never bring the run down.
   bool dump_jsonl(const std::string& path) const;
-  /// Write the ring as a loadable Chrome/Perfetto trace-event JSON file.
-  bool dump_perfetto(const std::string& path) const;
-  /// dump_jsonl + dump_perfetto under this recorder's dump base; announces
-  /// the file names and `reason` on stderr.
+  /// dump_jsonl to `<base>.<n>.jsonl` under this recorder's dump base;
+  /// announces the file name and `reason` on stderr.
   void dump(const char* reason) const;
 
  private:

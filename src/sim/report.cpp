@@ -39,20 +39,16 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string csv_number(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
+/// `"key": {` + one `"name": <value>` line per entry + `}`; `write_value`
+/// streams an entry's value.
 template <typename Map, typename Fn>
-void write_json_object(std::ostream& out, const char* key, const Map& map, Fn&& value_of,
+void write_json_object(std::ostream& out, const char* key, const Map& map, Fn&& write_value,
                        bool trailing_comma) {
   out << "  \"" << key << "\": {";
   bool first = true;
   for (const auto& [name, value] : map) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": " << value_of(value);
+    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
+    write_value(value);
     first = false;
   }
   out << (first ? "" : "\n  ") << "}" << (trailing_comma ? ",\n" : "\n");
@@ -91,57 +87,31 @@ void RunReport::add_metrics(const MetricsRegistry& registry, const std::string& 
 }
 
 void RunReport::write_json(std::ostream& out) const {
+  const auto number = [&out](double v) { out << json_number(v); };
   out << "{\n";
-  write_json_object(out, "meta", meta_, [](const auto& v) -> std::string {
-    if (const auto* s = std::get_if<std::string>(&v)) return "\"" + json_escape(*s) + "\"";
-    if (const auto* d = std::get_if<double>(&v)) return json_number(*d);
-    return std::to_string(std::get<std::uint64_t>(v));
+  write_json_object(out, "meta", meta_, [&out](const auto& v) {
+    if (const auto* s = std::get_if<std::string>(&v)) {
+      out << '"' << json_escape(*s) << '"';
+    } else if (const auto* d = std::get_if<double>(&v)) {
+      out << json_number(*d);
+    } else {
+      out << std::get<std::uint64_t>(v);
+    }
   }, true);
-  write_json_object(out, "counters", counters_,
-                    [](double v) { return json_number(v); }, true);
-  write_json_object(out, "gauges", gauges_, [](double v) { return json_number(v); }, true);
-  write_json_object(out, "series", series_, [](const SeriesStats& s) {
-    return "{\"count\":" + std::to_string(s.count) + ",\"mean\":" + json_number(s.mean) +
-           ",\"stddev\":" + json_number(s.stddev) + ",\"min\":" + json_number(s.min) +
-           ",\"max\":" + json_number(s.max) + ",\"sum\":" + json_number(s.sum) + "}";
+  write_json_object(out, "counters", counters_, number, true);
+  write_json_object(out, "gauges", gauges_, number, true);
+  write_json_object(out, "series", series_, [&out](const SeriesStats& s) {
+    out << "{\"count\":" << s.count << ",\"mean\":" << json_number(s.mean)
+        << ",\"stddev\":" << json_number(s.stddev) << ",\"min\":" << json_number(s.min)
+        << ",\"max\":" << json_number(s.max) << ",\"sum\":" << json_number(s.sum) << '}';
   }, false);
   out << "}\n";
-}
-
-void RunReport::write_csv(std::ostream& out) const {
-  out << "kind,name,count,value,mean,stddev,min,max\n";
-  for (const auto& [key, value] : meta_) {
-    out << "meta," << key << ",,";
-    if (const auto* s = std::get_if<std::string>(&value)) {
-      out << *s;  // meta strings land in the `value` column
-    } else if (const auto* d = std::get_if<double>(&value)) {
-      out << csv_number(*d);
-    } else {
-      out << std::get<std::uint64_t>(value);
-    }
-    out << ",,,,\n";
-  }
-  for (const auto& [name, v] : counters_) {
-    out << "counter," << name << ",," << csv_number(v) << ",,,,\n";
-  }
-  for (const auto& [name, v] : gauges_) {
-    out << "gauge," << name << ",," << csv_number(v) << ",,,,\n";
-  }
-  for (const auto& [name, s] : series_) {
-    out << "series," << name << ',' << s.count << ",," << csv_number(s.mean) << ','
-        << csv_number(s.stddev) << ',' << csv_number(s.min) << ',' << csv_number(s.max)
-        << '\n';
-  }
 }
 
 bool RunReport::write_file(const std::string& path) const {
   std::ofstream out{path};
   if (!out) return false;
-  if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv") {
-    write_csv(out);
-  } else {
-    write_json(out);
-  }
+  write_json(out);
   return true;
 }
 

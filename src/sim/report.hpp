@@ -1,6 +1,6 @@
 // Machine-readable run reports: serialize a run's metadata (config, seeds)
-// plus the full metrics registry to JSON or CSV, so the bench harness and
-// offline analysis consume typed data instead of scraping printf tables.
+// plus the full metrics registry to JSON, so the bench harness and offline
+// analysis consume typed data instead of scraping printf tables.
 //
 // JSON schema (stable, documented in DESIGN.md §7):
 //   {
@@ -12,10 +12,6 @@
 //   }
 // Missing statistics (min and max of an empty series) serialize as null.
 // Keys are emitted in sorted order so reports diff cleanly.
-//
-// CSV layout: one row per metric,
-//   kind,name,count,value,mean,stddev,min,max
-// with empty cells where a column does not apply to the kind.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +44,9 @@ class RunReport {
   void add_gauge(const std::string& name, double value);
 
   void write_json(std::ostream& out) const;
-  void write_csv(std::ostream& out) const;
 
-  /// Convenience: write to `path`, choosing JSON or CSV by extension
-  /// (.csv -> CSV, anything else -> JSON). Returns false if the file could
-  /// not be opened.
+  /// Convenience: write_json to `path`, whatever its extension. Returns
+  /// false if the file could not be opened.
   bool write_file(const std::string& path) const;
 
  private:

@@ -21,32 +21,31 @@ namespace {
 struct TypeInfo {
   const char* name;
   TraceCategory category;
-  char op;  ///< ns-2-style leading op char: s(end) r(ecv) d(rop) etc.
 };
 
 constexpr std::array<TypeInfo, static_cast<std::size_t>(TraceType::kCount)> kTypes{{
-    {"packet_tx", TraceCategory::kPacket, 's'},
-    {"packet_rx", TraceCategory::kPacket, 'r'},
-    {"packet_drop", TraceCategory::kPacket, 'd'},
-    {"mac_collision", TraceCategory::kMac, 'd'},
-    {"mac_backoff", TraceCategory::kMac, 'b'},
-    {"mac_send_failed", TraceCategory::kMac, 'd'},
-    {"route_rreq_sent", TraceCategory::kRoute, 's'},
-    {"route_rrep_sent", TraceCategory::kRoute, 's'},
-    {"route_discovered", TraceCategory::kRoute, 'e'},
-    {"route_discovery_failed", TraceCategory::kRoute, 'd'},
-    {"vote_round_start", TraceCategory::kVoting, 'e'},
-    {"vote_verdict", TraceCategory::kVoting, 'e'},
-    {"watchdog_accuse", TraceCategory::kWatchdog, 'e'},
-    {"watchdog_blacklist", TraceCategory::kWatchdog, 'e'},
-    {"fusion_decision", TraceCategory::kFusion, 'e'},
-    {"energy_charge", TraceCategory::kEnergy, 'e'},
-    {"fault_injected", TraceCategory::kFault, 'f'},
-    {"fault_detected", TraceCategory::kFault, 'e'},
-    {"fault_neutralized", TraceCategory::kFault, 'e'},
-    {"suspect", TraceCategory::kSuspicion, 'e'},
-    {"convict", TraceCategory::kSuspicion, 'e'},
-    {"health_sample", TraceCategory::kHealth, 'h'},
+    {"packet_tx", TraceCategory::kPacket},
+    {"packet_rx", TraceCategory::kPacket},
+    {"packet_drop", TraceCategory::kPacket},
+    {"mac_collision", TraceCategory::kMac},
+    {"mac_backoff", TraceCategory::kMac},
+    {"mac_send_failed", TraceCategory::kMac},
+    {"route_rreq_sent", TraceCategory::kRoute},
+    {"route_rrep_sent", TraceCategory::kRoute},
+    {"route_discovered", TraceCategory::kRoute},
+    {"route_discovery_failed", TraceCategory::kRoute},
+    {"vote_round_start", TraceCategory::kVoting},
+    {"vote_verdict", TraceCategory::kVoting},
+    {"watchdog_accuse", TraceCategory::kWatchdog},
+    {"watchdog_blacklist", TraceCategory::kWatchdog},
+    {"fusion_decision", TraceCategory::kFusion},
+    {"energy_charge", TraceCategory::kEnergy},
+    {"fault_injected", TraceCategory::kFault},
+    {"fault_detected", TraceCategory::kFault},
+    {"fault_neutralized", TraceCategory::kFault},
+    {"suspect", TraceCategory::kSuspicion},
+    {"convict", TraceCategory::kSuspicion},
+    {"health_sample", TraceCategory::kHealth},
 }};
 
 constexpr std::array<const char*, static_cast<std::size_t>(TraceCategory::kCount)>
@@ -60,10 +59,9 @@ void format_time(char* buf, std::size_t n, Time t) { std::snprintf(buf, n, "%.9f
 /// One process-wide stream per trace file path: the first open truncates,
 /// every later World in the same process appends to the same stream. Keeps a
 /// multi-world driver's trace coherent and byte-reproducible across runs.
-std::ostream& shared_file_stream(const std::string& path, bool* first_open = nullptr) {
+std::ostream& shared_file_stream(const std::string& path) {
   static std::unordered_map<std::string, std::unique_ptr<std::ofstream>> streams;
   auto it = streams.find(path);
-  if (first_open != nullptr) *first_open = it == streams.end();
   if (it == streams.end()) {
     it = streams.emplace(path, std::make_unique<std::ofstream>(path, std::ios::trunc)).first;
     if (!*it->second) {
@@ -92,28 +90,6 @@ const char* trace_category_name(TraceCategory cat) noexcept {
   return kCategoryNames[static_cast<std::size_t>(cat)];
 }
 
-void LineTraceSink::on_event(const TraceEvent& e) {
-  const TypeInfo& info = kTypes[static_cast<std::size_t>(e.type)];
-  char tbuf[32];
-  format_time(tbuf, sizeof tbuf, e.t);
-  char line[384];
-  int n = std::snprintf(line, sizeof line, "%c %s _%u_ %s %s", info.op, tbuf, e.node,
-                        kCategoryNames[static_cast<std::size_t>(info.category)], info.name);
-  const auto append = [&](const char* fmt, auto... args) {
-    if (n < static_cast<int>(sizeof line)) {
-      n += std::snprintf(line + n, sizeof line - static_cast<std::size_t>(n), fmt, args...);
-    }
-  };
-  if (e.peer != kNoNode) append(" peer=%u", e.peer);
-  if (e.uid != 0) append(" uid=%llu", static_cast<unsigned long long>(e.uid));
-  if (e.size != 0) append(" size=%u", e.size);
-  if (e.value != 0.0) append(" val=%.9g", e.value);
-  if (e.span != 0) append(" span=%llu", static_cast<unsigned long long>(e.span));
-  if (e.parent != 0) append(" parent=%llu", static_cast<unsigned long long>(e.parent));
-  if (e.detail != nullptr) append(" %s", e.detail);
-  out_ << line << '\n';
-}
-
 void JsonlTraceSink::on_event(const TraceEvent& e) {
   const TypeInfo& info = kTypes[static_cast<std::size_t>(e.type)];
   char tbuf[32];
@@ -136,71 +112,6 @@ void JsonlTraceSink::on_event(const TraceEvent& e) {
   if (e.detail != nullptr) append(",\"detail\":\"%s\"", e.detail);
   append("}");
   out_ << line << '\n';
-}
-
-void PerfettoTraceSink::on_event(const TraceEvent& e) {
-  const TypeInfo& info = kTypes[static_cast<std::size_t>(e.type)];
-  const char* cat = kCategoryNames[static_cast<std::size_t>(info.category)];
-  // Microsecond timestamps with fixed sub-microsecond precision keep the
-  // export deterministic and Chrome/Perfetto happy.
-  char ts[40];
-  std::snprintf(ts, sizeof ts, "%.3f", e.t * 1e6);
-  // kNoNode events (health samples, world-level bookkeeping) land on tid 0;
-  // real nodes on tid id+1 so the two never collide.
-  const unsigned long long tid = e.node == kNoNode ? 0ull : 1ull + e.node;
-
-  char line[512];
-  int n;
-  const auto append = [&](const char* fmt, auto... args) {
-    if (n < static_cast<int>(sizeof line)) {
-      n += std::snprintf(line + n, sizeof line - static_cast<std::size_t>(n), fmt, args...);
-    }
-  };
-  if (e.type == TraceType::kHealthSample) {
-    // Counter track: one series per (detail, node).
-    n = std::snprintf(line, sizeof line,
-                      "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"id\":%llu,"
-                      "\"args\":{\"value\":%.9g}},",
-                      e.detail != nullptr ? e.detail : "health", ts, tid, e.value);
-    out_ << line << '\n';
-    return;
-  }
-  n = std::snprintf(line, sizeof line,
-                    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,"
-                    "\"pid\":1,\"tid\":%llu,\"args\":{",
-                    info.name, cat, ts, tid);
-  bool first = true;
-  const auto arg = [&](const char* fmt, auto... args) {
-    if (!first) append(",");
-    first = false;
-    append(fmt, args...);
-  };
-  if (e.peer != kNoNode) arg("\"peer\":%u", e.peer);
-  if (e.uid != 0) arg("\"uid\":%llu", static_cast<unsigned long long>(e.uid));
-  if (e.size != 0) arg("\"size\":%u", e.size);
-  if (e.value != 0.0) arg("\"value\":%.9g", e.value);
-  if (e.span != 0) arg("\"span\":%llu", static_cast<unsigned long long>(e.span));
-  if (e.parent != 0) arg("\"parent\":%llu", static_cast<unsigned long long>(e.parent));
-  if (e.detail != nullptr) arg("\"detail\":\"%s\"", e.detail);
-  append("}},");
-  out_ << line << '\n';
-  // Lineage flow arrows: an event that owns a span starts (or continues) the
-  // flow with that id; an event with a parent binds the parent's flow onto
-  // itself. Matching ids draw the parent -> child arrows in the UI.
-  if (e.span != 0) {
-    n = std::snprintf(line, sizeof line,
-                      "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"s\",\"ts\":%s,\"pid\":1,"
-                      "\"tid\":%llu,\"id\":%llu},",
-                      cat, ts, tid, static_cast<unsigned long long>(e.span));
-    out_ << line << '\n';
-  }
-  if (e.parent != 0) {
-    n = std::snprintf(line, sizeof line,
-                      "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":%s,"
-                      "\"pid\":1,\"tid\":%llu,\"id\":%llu},",
-                      cat, ts, tid, static_cast<unsigned long long>(e.parent));
-    out_ << line << '\n';
-  }
 }
 
 std::uint32_t Tracer::parse_mask(const char* spec) {
@@ -230,25 +141,9 @@ void Tracer::configure_from_env() {
   const std::uint32_t mask = parse_mask(exp::env_string("ICC_TRACE").c_str());
   if (mask != 0) {
     const std::string path = exp::env_string("ICC_TRACE_FILE");
-    if (!path.empty()) {
-      std::ostream& out = shared_file_stream(path);
-      const std::string_view p{path};
-      if (p.size() >= 6 && p.substr(p.size() - 6) == ".jsonl") {
-        add_owned_sink(std::make_unique<JsonlTraceSink>(out), mask);
-      } else {
-        add_owned_sink(std::make_unique<LineTraceSink>(out), mask);
-      }
-    } else {
-      add_owned_sink(std::make_unique<LineTraceSink>(std::cerr), mask);
-    }
-  }
-  const std::string perfetto = exp::env_string("ICC_TRACE_PERFETTO");
-  if (!perfetto.empty()) {
-    // The export wants the whole picture: subscribe it to every category.
-    bool first_open = false;
-    std::ostream& out = shared_file_stream(perfetto, &first_open);
-    if (first_open) out << "[\n";  // closing ']' is optional in the format
-    add_owned_sink(std::make_unique<PerfettoTraceSink>(out), kAllTraceCategories);
+    add_owned_sink(
+        std::make_unique<JsonlTraceSink>(path.empty() ? std::cerr : shared_file_stream(path)),
+        mask);
   }
   if (exp::env_int("ICC_FLIGHT", 0) != 0) {
     const int records =

@@ -3,9 +3,11 @@
 // Every layer emits typed TraceEvents (packet tx/rx/drop with reason, MAC
 // collision/backoff, route discovery, voting rounds, watchdog accusations,
 // fusion decisions, energy charges) into the World's Tracer. Subscribers
-// (sinks) render them — an ns-2-style line format, JSONL, a Perfetto
-// export, the flight recorder's ring, or an in-memory collector for tests.
-// Each sink subscribes with its own category mask.
+// (sinks) consume them — the JSONL sink, the flight recorder's ring, or an
+// in-memory collector for tests. Each sink subscribes with its own category
+// mask. JSONL is the one text rendering: a live trace and a flight-recorder
+// dump are the same format, and tools/tracq reads both (its `export` turns
+// either into a Chrome/Perfetto trace).
 //
 // Hot-path contract: with tracing disabled (no `ICC_TRACE`, no sinks) an
 // emission is a single mask test on an integer — no string formatting, no
@@ -26,19 +28,15 @@
 // Environment knobs (read by World at construction):
 //   ICC_TRACE       comma-separated categories to enable:
 //                   packet,mac,route,voting,watchdog,fusion,energy,fault,
-//                   suspicion,health  or  all; an unknown name aborts
-//   ICC_TRACE_FILE  write the trace there instead of stderr; a path ending
-//                   in .jsonl selects the JSONL sink, anything else the
-//                   ns-2-style line sink. Worlds created by the same process
-//                   append to one shared stream (truncated once at first
-//                   open), so multi-world drivers produce a single coherent,
+//                   suspicion,health  or  all; an unknown name aborts. The
+//                   trace is JSONL on stderr unless ICC_TRACE_FILE is set.
+//   ICC_TRACE_FILE  write the JSONL trace there instead, whatever the
+//                   file's name. Worlds created by the same process append
+//                   to one shared stream (truncated once at first open), so
+//                   multi-world drivers produce a single coherent,
 //                   reproducible trace. An unwritable path is a fatal
 //                   configuration error (the process exits) — silently
 //                   discarding a requested trace would waste the whole run.
-//   ICC_TRACE_PERFETTO  also export every category to a Chrome/Perfetto
-//                   trace-event JSON file at the given path (per-node
-//                   tracks, lineage flow arrows, health counter tracks).
-//                   The ICC_TRACE sink keeps its own categories.
 //   ICC_FLIGHT      enable the always-on in-memory flight recorder
 //                   (sim/flight.hpp), a sink of every category;
 //                   ICC_FLIGHT_RECORDS sizes the ring (at least 1 record;
@@ -123,37 +121,11 @@ class TraceSink {
   virtual void on_event(const TraceEvent& event) = 0;
 };
 
-/// ns-2-flavoured single-line text format:
-///   `s 12.000345678 _3_ packet packet_tx peer=7 uid=42 size=512`
-class LineTraceSink final : public TraceSink {
- public:
-  explicit LineTraceSink(std::ostream& out) : out_{out} {}
-  void on_event(const TraceEvent& event) override;
-
- private:
-  std::ostream& out_;
-};
-
 /// One JSON object per line; field order and float formatting are fixed so
 /// equal-seed runs yield byte-identical traces.
 class JsonlTraceSink final : public TraceSink {
  public:
   explicit JsonlTraceSink(std::ostream& out) : out_{out} {}
-  void on_event(const TraceEvent& event) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Chrome/Perfetto trace-event JSON ("JSON Array Format"): one instant event
-/// per trace event on a per-node track, flow arrows from lineage
-/// (span/parent), counter tracks from kHealthSample events. The stream must
-/// already contain the opening '[' (configure_from_env writes it on first
-/// open); the closing ']' is optional in the format, so multi-world appends
-/// stay loadable.
-class PerfettoTraceSink final : public TraceSink {
- public:
-  explicit PerfettoTraceSink(std::ostream& out) : out_{out} {}
   void on_event(const TraceEvent& event) override;
 
  private:
@@ -184,7 +156,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Reads ICC_TRACE / ICC_TRACE_FILE / ICC_TRACE_PERFETTO / ICC_FLIGHT*
+  /// Reads ICC_TRACE / ICC_TRACE_FILE / ICC_FLIGHT*
   /// and installs the default sinks. Called by the World constructor;
   /// harmless to call on an already-set-up tracer.
   void configure_from_env();

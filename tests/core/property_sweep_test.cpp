@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <random>
+#include <string>
 
 #include "core/framework.hpp"
 #include "crypto/model_scheme.hpp"
@@ -75,8 +76,11 @@ INSTANTIATE_TEST_SUITE_P(
     CircleByLevel, VotingSweep,
     ::testing::Combine(::testing::Values(3, 5, 8, 12), ::testing::Values(1, 2, 4, 7, 11)),
     [](const auto& info) {
-      return "N" + std::to_string(std::get<0>(info.param)) + "_L" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "N";
+      name.append(std::to_string(std::get<0>(info.param)))
+          .append("_L")
+          .append(std::to_string(std::get<1>(info.param)));
+      return name;
     });
 
 // -------------------------------------- threshold RSA (players, k) sweep
@@ -111,8 +115,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(2, 2), std::make_tuple(5, 2), std::make_tuple(5, 5),
                       std::make_tuple(9, 3), std::make_tuple(9, 7), std::make_tuple(13, 4)),
     [](const auto& info) {
-      return "P" + std::to_string(std::get<0>(info.param)) + "_T" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "P";
+      name.append(std::to_string(std::get<0>(info.param)))
+          .append("_T")
+          .append(std::to_string(std::get<1>(info.param)));
+      return name;
     });
 
 }  // namespace

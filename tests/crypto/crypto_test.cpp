@@ -3,6 +3,7 @@
 // NS-Lowe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <random>
@@ -271,7 +272,7 @@ TEST(Rsa, HashToGroupInRange) {
   std::mt19937_64 eng{5};
   const RsaKeyPair key = rsa_generate(256, words_from(eng));
   for (int i = 0; i < 20; ++i) {
-    const auto msg = bytes("m" + std::to_string(i));
+    const auto msg = bytes(std::string{"m"}.append(std::to_string(i)));
     const Bignum h = hash_to_group(msg, key.pub.n);
     EXPECT_LT(Bignum::cmp(h, key.pub.n), 0);
     EXPECT_FALSE(h.is_zero());
@@ -485,12 +486,12 @@ Digest fresh_share(std::uint64_t seed, int level, std::uint32_t id) {
 
 std::vector<std::uint8_t> fresh_tag(const Digest& key, int level,
                                     std::span<const std::uint8_t> msg, std::size_t on_air) {
-  std::vector<std::uint8_t> prefixed;
-  for (int i = 0; i < 4; ++i) prefixed.push_back(static_cast<std::uint8_t>(level >> (8 * i)));
-  prefixed.insert(prefixed.end(), msg.begin(), msg.end());
+  std::vector<std::uint8_t> prefixed(4 + msg.size());
+  for (std::size_t i = 0; i < 4; ++i) prefixed[i] = static_cast<std::uint8_t>(level >> (8 * i));
+  std::copy(msg.begin(), msg.end(), prefixed.begin() + 4);
   const Digest tag = textbook_hmac(key, prefixed);
-  std::vector<std::uint8_t> out(tag.begin(), tag.end());
-  out.resize(on_air, 0);
+  std::vector<std::uint8_t> out(on_air, 0);
+  std::copy_n(tag.begin(), std::min(tag.size(), on_air), out.begin());
   return out;
 }
 
@@ -554,8 +555,8 @@ TEST(ModelKeys, PkiMatchesAFreshDerivationForIssuedAndNeverIssuedIds) {
   const auto fresh_sig = [&](std::uint32_t id) {
     const Digest node_key = textbook_hmac(seed_digest(kSeed), bytes("pki:" + std::to_string(id)));
     const Digest tag = textbook_hmac(node_key, msg);
-    std::vector<std::uint8_t> out(tag.begin(), tag.end());
-    out.resize(kOnAir, 0);
+    std::vector<std::uint8_t> out(kOnAir, 0);
+    std::copy_n(tag.begin(), std::min(tag.size(), kOnAir), out.begin());
     return out;
   };
   const std::vector<std::uint8_t> issued = signer->sign(msg);

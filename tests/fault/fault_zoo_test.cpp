@@ -1,17 +1,19 @@
 // Adversary-zoo tests: the attack-kind registry (classification, name
 // round-trip, which kinds book per-kind ledger counters), FaultPlan
-// validation (including the abort-on-invalid-plan contract of the
-// InjectionEngine), the budgeted adversarial-noise injector, and the
-// wormhole tunnel with its geographic-leash countermeasure.
+// validation (including the abort-on-invalid-plan gate the InjectionEngine
+// and both experiments run), the budgeted adversarial-noise injector, and
+// the wormhole tunnel with its geographic-leash countermeasure.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <tuple>
 
+#include "aodv/blackhole_experiment.hpp"
 #include "fault/injector.hpp"
 #include "fault/ledger.hpp"
 #include "fault/plan.hpp"
+#include "sensor/experiment.hpp"
 #include "sim/world.hpp"
 
 namespace icc::fault {
@@ -141,6 +143,47 @@ TEST(FaultPlanDeathTest, EngineAbortsOnBackwardsTimers) {
         InjectionEngine engine(world, plan);
       },
       "timers cannot run backwards");
+}
+
+// Every experiment runs the same gate at setup, whatever the plan's shape.
+// A sensor-only plan never reaches an InjectionEngine, so the experiment
+// itself must refuse this spec (no node, a window starting before t=0);
+// run, it would silently leave every sensor healthy.
+TEST(FaultPlanDeathTest, SensorExperimentRefusesAnInvalidSensorSpec) {
+  sensor::SensorExperimentConfig config;
+  config.num_sensors = 10;
+  config.sim_time = 5.0;
+  SensorFault spec;
+  spec.type = SensorFaultType::kStuckAtZero;
+  spec.when = Schedule::window(-5.0, 1.0);
+  config.plan.sensor.push_back(spec);
+  EXPECT_DEATH(sensor::run_sensor_experiment(config),
+               "fault: invalid plan: sensor spec 0: no target node");
+}
+
+// An attacker outside the 50-node fig-7 world would silently leave the run
+// attack-free.
+TEST(FaultPlanDeathTest, BlackholeExperimentRefusesAnAttackerOutsideTheWorld) {
+  aodv::BlackholeExperimentConfig config;
+  config.sim_time = 5.0;
+  config.plan.protocol.push_back(black_hole(60));
+  EXPECT_DEATH(aodv::run_blackhole_experiment(config),
+               "fault: invalid plan: protocol spec 0: node outside the world "
+               "\\(node 60, 50 nodes\\)");
+}
+
+// A crash on a node outside the world would index past the node table
+// mid-setup.
+TEST(FaultPlanDeathTest, BlackholeExperimentRefusesANodeFaultOutsideTheWorld) {
+  aodv::BlackholeExperimentConfig config;
+  config.sim_time = 5.0;
+  NodeFault crash;
+  crash.node = 60;
+  crash.down = Schedule::always();
+  config.plan.node.push_back(crash);
+  EXPECT_DEATH(aodv::run_blackhole_experiment(config),
+               "fault: invalid plan: node spec 0: node outside the world "
+               "\\(node 60, 50 nodes\\)");
 }
 
 // -------------------------------------------------------- adversarial noise

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 
@@ -146,19 +149,45 @@ TEST(RunReport, EmptySeriesMinSerializesAsNull) {
   EXPECT_NE(out.str().find("\"min\":null"), std::string::npos);
 }
 
-TEST(RunReport, CsvHasOneRowPerMetric) {
+// JSON is the one report encoding: a path ending in .csv gets the same
+// bytes write_json streams, in the fixed layout DESIGN.md §7 documents.
+TEST(RunReport, WriteFileIsJsonWhateverTheSuffix) {
   RunReport report;
   report.set_meta("experiment", "unit");
+  report.set_meta("runs", static_cast<std::uint64_t>(2));
   report.add_counter("sent", 7.0);
+  report.add_gauge("ratio", 0.5);
   SampleSeries s;
   s.add(1.0);
   report.add_series("lat", s);
-  std::ostringstream out;
-  report.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("kind,name,count,value,mean,stddev,min,max\n"), std::string::npos);
-  EXPECT_NE(csv.find("counter,sent,"), std::string::npos);
-  EXPECT_NE(csv.find("series,lat,1,"), std::string::npos);
+  report.add_series("empty", SampleSeries{});
+  std::ostringstream expected;
+  report.write_json(expected);
+  EXPECT_EQ(expected.str(),
+            "{\n"
+            "  \"meta\": {\n"
+            "    \"experiment\": \"unit\",\n"
+            "    \"runs\": 2\n"
+            "  },\n"
+            "  \"counters\": {\n"
+            "    \"sent\": 7\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"ratio\": 0.5\n"
+            "  },\n"
+            "  \"series\": {\n"
+            "    \"empty\": {\"count\":0,\"mean\":0,\"stddev\":0,\"min\":null,\"max\":null,"
+            "\"sum\":0},\n"
+            "    \"lat\": {\"count\":1,\"mean\":1,\"stddev\":0,\"min\":1,\"max\":1,\"sum\":1}\n"
+            "  }\n"
+            "}\n");
+
+  const std::string path = testing::TempDir() + "run_report.csv";
+  ASSERT_TRUE(report.write_file(path));
+  std::ifstream in{path};
+  const std::string written{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+  EXPECT_EQ(written, expected.str());
+  std::remove(path.c_str());
 }
 
 TEST(RunReport, SnapshotsWholeRegistry) {

@@ -92,8 +92,8 @@ TEST(Tracer, DisabledWithoutSinksEvenIfMaskSet) {
 }
 
 TEST(Tracer, EachSinkKeepsItsOwnCategories) {
-  // A voting sink beside an all-category sink (the ICC_TRACE_PERFETTO
-  // export, the flight recorder) still sees voting events only.
+  // A voting sink beside an all-category sink (the flight recorder) still
+  // sees voting events only.
   Tracer tracer;
   CollectingTraceSink voting;
   CollectingTraceSink all;
@@ -106,15 +106,6 @@ TEST(Tracer, EachSinkKeepsItsOwnCategories) {
   EXPECT_EQ(voting.events()[0].type, TraceType::kVoteVerdict);
   EXPECT_EQ(all.events().size(), 3u);
   EXPECT_TRUE(tracer.enabled(TraceCategory::kMac));  // the union of the masks
-}
-
-TEST(Tracer, LineSinkFormatsNs2Style) {
-  std::ostringstream out;
-  LineTraceSink sink{out};
-  Tracer tracer;
-  tracer.add_sink(&sink, Tracer::parse_mask("all"));
-  tracer.emit({12.000345678, TraceType::kPacketTx, 3, 7, 42, 512, 0.0, nullptr});
-  EXPECT_EQ(out.str(), "s 12.000345678 _3_ packet packet_tx peer=7 uid=42 size=512\n");
 }
 
 TEST(Tracer, JsonlSinkEmitsOneObjectPerLine) {

@@ -1,8 +1,8 @@
 // tracq tests: JSONL loading (live traces and flight-recorder dumps alike),
-// lineage reconstruction, and the diff contract the determinism workflow
-// depends on — identical pair reports no divergence, a single mutated record
-// is pinpointed exactly (a ring-wrapped flight dump included), and corrupt
-// input fails gracefully.
+// lineage reconstruction, the Perfetto export, and the diff contract the
+// determinism workflow depends on — identical pair reports no divergence, a
+// single mutated record is pinpointed exactly (a ring-wrapped flight dump
+// included), and corrupt input fails gracefully.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -223,6 +223,37 @@ TEST(TracqFlight, DumpEqualsTheLiveTraceTail) {
   EXPECT_FALSE(first_divergence(*dump, *expected).has_value());
   std::remove(dump_path.c_str());
   std::remove(tail_path.c_str());
+}
+
+// A flight dump is one JSONL file; the Perfetto view of it is tracq's
+// export: '[', an instant event on the node's track with the record's
+// fields as args, the lineage flow arrows, ']'.
+TEST(TracqExport, FlightDumpExportIsWellFormedJson) {
+  const std::string dump_path = temp_path("tracq_export_dump.jsonl");
+  sim::FlightRecorder recorder{8, temp_path("tracq_export")};
+  recorder.on_event({0.5, sim::TraceType::kPacketTx, 1, 2, 1, 100, 0.5, "no_route", 1, 7});
+  recorder.on_event({0.75, sim::TraceType::kHealthSample, sim::kNoNode, sim::kNoNode, 0, 0,
+                     3.0, "queue_depth"});
+  ASSERT_TRUE(recorder.dump_jsonl(dump_path));
+  std::string error;
+  const auto dump = load(dump_path, error);
+  ASSERT_TRUE(dump.has_value()) << error;
+
+  std::ostringstream out;
+  write_perfetto(out, dump->records);
+  EXPECT_EQ(out.str(),
+            "[\n"
+            "{\"name\":\"packet_tx\",\"cat\":\"packet\",\"ph\":\"i\",\"s\":\"t\","
+            "\"ts\":500000.000,\"pid\":1,\"tid\":2,\"args\":{\"peer\":2,\"uid\":1,"
+            "\"size\":100,\"value\":0.5,\"span\":1,\"parent\":7,\"detail\":\"no_route\"}},\n"
+            "{\"name\":\"span\",\"cat\":\"packet\",\"ph\":\"s\",\"ts\":500000.000,\"pid\":1,"
+            "\"tid\":2,\"id\":1},\n"
+            "{\"name\":\"span\",\"cat\":\"packet\",\"ph\":\"f\",\"bp\":\"e\","
+            "\"ts\":500000.000,\"pid\":1,\"tid\":2,\"id\":7},\n"
+            "{\"name\":\"queue_depth\",\"ph\":\"C\",\"ts\":750000.000,\"pid\":1,\"id\":0,"
+            "\"args\":{\"value\":3}},\n"
+            "]\n");
+  std::remove(dump_path.c_str());
 }
 
 // The post-mortem diff: a flight dump whose ring has wrapped starts

@@ -1,10 +1,11 @@
 // tracq — trace query / diff tool for icc simulator traces.
 //
-// Reads the canonical JSONL every trace is written in: an ICC_TRACE_FILE
-// trace (*.jsonl) and a flight-recorder dump (<base>.<n>.jsonl,
-// sim/flight.hpp) alike. A line that is not a complete record of a known
-// type — one cut off when its writer was killed, say — is a load error
-// naming the file and line. Dependency-free beyond the icc_sim library.
+// Reads the canonical JSONL every trace is written in: an ICC_TRACE trace
+// (on stderr or in ICC_TRACE_FILE, whatever the file's name) and a
+// flight-recorder dump (<base>.<n>.jsonl, sim/flight.hpp) alike. A line
+// that is not a complete record of a known type — one cut off when its
+// writer was killed, say — is a load error naming the file and line.
+// Dependency-free beyond the icc_sim library.
 //
 // Subcommands:
 //   tracq filter <file> [--type T] [--cat C] [--node N] [--span S] [--uid U]
@@ -22,7 +23,8 @@
 //       such as a flight-recorder dump, is compared from where its first
 //       record sits in the other
 //   tracq export <file> <out.json>
-//       write a Chrome/Perfetto trace-event JSON file
+//       write a Chrome/Perfetto trace-event JSON file (per-node tracks,
+//       lineage flow arrows, health counter tracks) for ui.perfetto.dev
 //   tracq --self-test
 //       run the built-in checks on synthetic traces
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -311,6 +314,93 @@ inline std::map<std::string, LatencyRow> detection_latency(const std::vector<Rec
   return rows;
 }
 
+// ---------------------------------------------------------------- export
+
+/// Chrome/Perfetto trace-event JSON ("JSON Array Format"): one instant event
+/// per trace event on a per-node track, flow arrows from lineage
+/// (span/parent), counter tracks from kHealthSample events. Every object
+/// ends in a comma; the caller writes the enclosing '[' and ']'.
+class PerfettoTraceSink final : public sim::TraceSink {
+ public:
+  explicit PerfettoTraceSink(std::ostream& out) : out_{out} {}
+
+  void on_event(const sim::TraceEvent& e) override {
+    const char* name = sim::trace_type_name(e.type);
+    const char* cat = sim::trace_category_name(sim::trace_category(e.type));
+    // Microsecond timestamps with fixed sub-microsecond precision keep the
+    // export deterministic and Chrome/Perfetto happy.
+    char ts[40];
+    std::snprintf(ts, sizeof ts, "%.3f", e.t * 1e6);
+    // kNoNode events (health samples, world-level bookkeeping) land on tid 0;
+    // real nodes on tid id+1 so the two never collide.
+    const unsigned long long tid = e.node == sim::kNoNode ? 0ull : 1ull + e.node;
+
+    char line[512];
+    int n;
+    const auto append = [&](const char* fmt, auto... args) {
+      if (n < static_cast<int>(sizeof line)) {
+        n += std::snprintf(line + n, sizeof line - static_cast<std::size_t>(n), fmt, args...);
+      }
+    };
+    if (e.type == sim::TraceType::kHealthSample) {
+      // Counter track: one series per (detail, node).
+      n = std::snprintf(line, sizeof line,
+                        "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"id\":%llu,"
+                        "\"args\":{\"value\":%.9g}},",
+                        e.detail != nullptr ? e.detail : "health", ts, tid, e.value);
+      out_ << line << '\n';
+      return;
+    }
+    n = std::snprintf(line, sizeof line,
+                      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,"
+                      "\"pid\":1,\"tid\":%llu,\"args\":{",
+                      name, cat, ts, tid);
+    bool first = true;
+    const auto arg = [&](const char* fmt, auto... args) {
+      if (!first) append(",");
+      first = false;
+      append(fmt, args...);
+    };
+    if (e.peer != sim::kNoNode) arg("\"peer\":%u", e.peer);
+    if (e.uid != 0) arg("\"uid\":%llu", static_cast<unsigned long long>(e.uid));
+    if (e.size != 0) arg("\"size\":%u", e.size);
+    if (e.value != 0.0) arg("\"value\":%.9g", e.value);
+    if (e.span != 0) arg("\"span\":%llu", static_cast<unsigned long long>(e.span));
+    if (e.parent != 0) arg("\"parent\":%llu", static_cast<unsigned long long>(e.parent));
+    if (e.detail != nullptr) arg("\"detail\":\"%s\"", e.detail);
+    append("}},");
+    out_ << line << '\n';
+    // Lineage flow arrows: an event that owns a span starts (or continues)
+    // the flow with that id; an event with a parent binds the parent's flow
+    // onto itself. Matching ids draw the parent -> child arrows in the UI.
+    if (e.span != 0) {
+      n = std::snprintf(line, sizeof line,
+                        "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"s\",\"ts\":%s,\"pid\":1,"
+                        "\"tid\":%llu,\"id\":%llu},",
+                        cat, ts, tid, static_cast<unsigned long long>(e.span));
+      out_ << line << '\n';
+    }
+    if (e.parent != 0) {
+      n = std::snprintf(line, sizeof line,
+                        "{\"name\":\"span\",\"cat\":\"%s\",\"ph\":\"f\",\"bp\":\"e\",\"ts\":%s,"
+                        "\"pid\":1,\"tid\":%llu,\"id\":%llu},",
+                        cat, ts, tid, static_cast<unsigned long long>(e.parent));
+      out_ << line << '\n';
+    }
+  }
+
+ private:
+  std::ostream& out_;
+};
+
+/// The whole export: '[', one object per record (see PerfettoTraceSink), ']'.
+inline void write_perfetto(std::ostream& out, const std::vector<Record>& records) {
+  out << "[\n";
+  PerfettoTraceSink sink{out};
+  for (const Record& r : records) sink.on_event(to_event(r));
+  out << "]\n";
+}
+
 // ------------------------------------------------------------------ diff
 
 /// Where the comparison of two traces starts. A flight-recorder dump is the
@@ -512,10 +602,7 @@ int cmd_export(int argc, char** argv) {
     std::fprintf(stderr, "tracq: cannot open '%s' for writing\n", argv[1]);
     return 2;
   }
-  out << "[\n";
-  icc::sim::PerfettoTraceSink sink{out};
-  for (const icc::tracq::Record& r : trace->records) sink.on_event(icc::tracq::to_event(r));
-  out << "]\n";
+  icc::tracq::write_perfetto(out, trace->records);
   std::printf("wrote %s (%zu records)\n", argv[1], trace->records.size());
   return 0;
 }
