@@ -83,20 +83,25 @@ void Mac::transmit_current() {
   node_.energy().charge_tx(duration);
   world_.medium().begin_transmission(frame, duration);
 
-  const bool needs_ack = frame.rx != kBroadcast;
-  const std::uint64_t fid = frame.frame_id;
-  world_.sched().schedule_in(duration, [this, needs_ack, fid] {
-    if (!needs_ack) {
-      finish_current(true);
-      return;
-    }
-    awaiting_ack_id_ = fid;
-    const double ack_air =
-        params_.preamble + static_cast<double>(params_.ack_bytes) * 8.0 / params_.bitrate;
-    const double timeout = params_.sifs + ack_air + 5.0 * params_.slot;
-    ack_timeout_event_ =
-        world_.sched().schedule_in(timeout, [this] { on_ack_timeout(); }, EventTag::kMac);
-  }, EventTag::kMac);
+  // The closure captures `this` alone, so it fits std::function's in-place
+  // buffer; the frame is still the head of the queue when it fires.
+  world_.sched().schedule_in(duration, [this] { on_tx_done(); }, EventTag::kMac);
+}
+
+void Mac::on_tx_done() {
+  ICC_ASSERT(in_progress_ && !queue_.empty(),
+             "a tx-done must belong to an in-progress head-of-queue frame");
+  const Frame& frame = queue_.front();
+  if (frame.rx == kBroadcast) {
+    finish_current(true);
+    return;
+  }
+  awaiting_ack_id_ = frame.frame_id;
+  const double ack_air =
+      params_.preamble + static_cast<double>(params_.ack_bytes) * 8.0 / params_.bitrate;
+  const double timeout = params_.sifs + ack_air + 5.0 * params_.slot;
+  ack_timeout_event_ =
+      world_.sched().schedule_in(timeout, [this] { on_ack_timeout(); }, EventTag::kMac);
 }
 
 void Mac::on_ack_timeout() {

@@ -78,6 +78,7 @@ class Mac {
   void schedule_attempt();        ///< DIFS + random backoff, then try_transmit
   void try_transmit();
   void transmit_current();
+  void on_tx_done();              ///< the head-of-queue frame left the air
   void finish_current(bool success);
   void on_ack_timeout();
   void handle_frame_arrival(const Frame& frame);

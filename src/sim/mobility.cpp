@@ -1,31 +1,27 @@
 #include "sim/mobility.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/scheduler.hpp"
 
 namespace icc::sim {
 
 RandomWaypoint::RandomWaypoint(Params params, Vec2 start, Rng rng)
-    : params_{params}, rng_{rng}, from_{start}, to_{start} {}
-
-Vec2 RandomWaypoint::position(Time now) const {
-  if (now >= arrive_ || arrive_ <= depart_) return to_;
-  const double frac = (now - depart_) / (arrive_ - depart_);
-  return from_ + (to_ - from_) * frac;
-}
+    : Mobility{Leg{start, start, 0.0, 0.0}}, params_{params}, rng_{std::move(rng)} {}
 
 void RandomWaypoint::start(Scheduler& sched) { begin_leg(sched); }
 
 void RandomWaypoint::begin_leg(Scheduler& sched) {
-  from_ = to_;
-  to_ = rng_.point_in(params_.width, params_.height);
+  Leg next;
+  next.from = leg().to;
+  next.to = rng_.point_in(params_.width, params_.height);
   const double speed =
       std::max(0.1, rng_.uniform(params_.min_speed, params_.max_speed));
-  const double dist = distance(from_, to_);
-  depart_ = sched.now();
-  arrive_ = depart_ + dist / speed;
-  sched.schedule_at(arrive_ + params_.pause, [this, &sched] { begin_leg(sched); },
+  next.depart = sched.now();
+  next.arrive = next.depart + distance(next.from, next.to) / speed;
+  set_leg(next);
+  sched.schedule_at(next.arrive + params_.pause, [this, &sched] { begin_leg(sched); },
                     EventTag::kMobility);
 }
 

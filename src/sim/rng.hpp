@@ -4,14 +4,90 @@
 // fault injection) draws from its own stream derived from the world seed, so
 // a run is reproducible bit-for-bit and adding randomness to one component
 // does not perturb the others.
+//
+// The stream is std::mt19937_64's, in a compact form. A 4,000-node world
+// holds about 12,000 streams, and a 2.5 KB engine apiece was 30 MB to seed
+// and to keep in cache. Draw k < 156 of the standard engine seeded with s is
+// the tempered twist of seeding words x[k], x[k+1] and x[k+156], where
+// x[0] = s and x[i] = 6364136223846793005 * (x[i-1] ^ (x[i-1] >> 62)) + i:
+// two cursors over that recurrence make those draws. The 157th draw builds
+// the standard engine, skips it past the draws already made and delegates
+// to it from then on. The standard distributions read only operator(),
+// min() and max(), so every helper below returns what it returned on
+// std::mt19937_64 (tests/sim/rng_test.cpp checks both).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 
 #include "sim/vec2.hpp"
 
 namespace icc::sim {
+
+/// std::mt19937_64's output stream in 40 bytes for its first 156 draws.
+/// Copies are deep; a moved-from stream rebuilds its engine on its next
+/// draw and continues where it was.
+class Mt64Stream {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt64Stream(std::uint64_t seed) noexcept : seed_{seed}, lo_{seed}, hi_{seed} {
+    for (std::uint64_t i = 1; i <= kCompactDraws; ++i) hi_ = seed_step(hi_, i);
+  }
+  Mt64Stream(const Mt64Stream& other)
+      : seed_{other.seed_},
+        lo_{other.lo_},
+        hi_{other.hi_},
+        drawn_{other.drawn_},
+        full_{other.full_ ? std::make_unique<std::mt19937_64>(*other.full_) : nullptr} {}
+  Mt64Stream& operator=(const Mt64Stream& other) { return *this = Mt64Stream{other}; }
+  Mt64Stream(Mt64Stream&&) noexcept = default;
+  Mt64Stream& operator=(Mt64Stream&&) noexcept = default;
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (drawn_ < kCompactDraws) return compact_draw();
+    if (!full_) {
+      full_ = std::make_unique<std::mt19937_64>(seed_);
+      full_->discard(drawn_);
+    }
+    ++drawn_;
+    return (*full_)();
+  }
+
+ private:
+  static constexpr std::uint64_t kCompactDraws = 156;  // mt19937_64's shift size m
+  static constexpr std::uint64_t kInitMultiplier = 6364136223846793005ull;
+  static constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ull;
+  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+
+  /// Seeding word x[i] from x[i-1].
+  [[nodiscard]] static std::uint64_t seed_step(std::uint64_t prev, std::uint64_t i) noexcept {
+    return kInitMultiplier * (prev ^ (prev >> 62)) + i;
+  }
+
+  result_type compact_draw() noexcept {
+    const std::uint64_t k = drawn_++;
+    const std::uint64_t next = seed_step(lo_, k + 1);  // x[k+1]
+    const std::uint64_t y = (lo_ & kUpperMask) | (next & ~kUpperMask);
+    std::uint64_t z = hi_ ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrixA : 0);
+    lo_ = next;
+    hi_ = seed_step(hi_, k + kCompactDraws + 1);  // x[k+157]
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t lo_;  ///< x[drawn_]
+  std::uint64_t hi_;  ///< x[drawn_ + 156]
+  std::uint64_t drawn_{0};
+  std::unique_ptr<std::mt19937_64> full_;  ///< the standard engine, past draw 156
+};
 
 /// A seeded pseudo-random stream with the distribution helpers the
 /// simulator needs.
@@ -53,10 +129,8 @@ class Rng {
     return Rng{z ^ (z >> 31)};
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Mt64Stream engine_;
 };
 
 }  // namespace icc::sim

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -29,10 +30,17 @@ Scheduler::EventId Scheduler::schedule_at(Time t, std::function<void()> fn, Even
   slot.fn = std::move(fn);
   slot.tag = tag;
   slot.live = true;
+#if ICC_CHECKED_ENABLED
+  slot.seq = next_seq_++;
+#endif
   ++live_count_;
   const EventId id = make_id(index, slot.gen);
-  queue_.push(QueueEntry{t, next_seq_++, id});
-  ICC_CHECK(live_count_ <= queue_.size(),
+  const std::uint64_t key = key_of(t);
+  ICC_ASSERT(key >= base_, "radix queue monotonicity: an event was scheduled before the "
+                           "queue's base, which only ever moves to an event that ran");
+  place(Entry{key, id});
+  ++queued_;
+  ICC_CHECK(live_count_ <= queued_,
             "every pending EventId must have a queue entry backing it");
   return id;
 }
@@ -54,26 +62,56 @@ void Scheduler::execute(std::function<void()>&& fn, EventTag tag) {
 }
 
 void Scheduler::drain(Time last) {
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.top();
-    if (top.time > last) break;
-    ICC_ASSERT(top.time >= now_, "event time monotonicity: the queue must never yield an "
-                                 "event scheduled before the current simulated time");
-    ICC_ASSERT(top.seq < next_seq_, "queue entries must reference ids the scheduler issued");
-    queue_.pop();
+  std::vector<Entry>& ready = buckets_[0];
+  while (true) {
+    if (ready_head_ == ready.size()) {
+      ready.clear();
+      ready_head_ = 0;
+      if (nonempty_ == 0) {
+        // Empty: any base at or below the clock is valid, and the base may
+        // sit past it when the last entries popped were cancelled ones.
+        base_ = key_of(now_);
+        break;
+      }
+      const auto lowest = static_cast<std::size_t>(std::countr_zero(nonempty_)) + 1;
+      std::vector<Entry>& bucket = buckets_[lowest];
+      std::uint64_t min = bucket.front().key;
+      for (const Entry& e : bucket) min = std::min(min, e.key);
+      // Peek only: committing a minimum that will not run now would misfile
+      // every event later scheduled in [last, min).
+      if (std::bit_cast<Time>(min) > last) break;
+      base_ = min;
+      for (const Entry& e : bucket) place(e);  // stable, and every entry lands below `lowest`
+      bucket.clear();
+      nonempty_ &= ~(std::uint64_t{1} << (lowest - 1));
+    }
+    const Entry top = ready[ready_head_];
+    const Time time = std::bit_cast<Time>(top.key);
+    if (time > last) break;
+    ICC_ASSERT(time >= now_, "event time monotonicity: the queue must never yield an "
+                             "event scheduled before the current simulated time");
+    ++ready_head_;
+    --queued_;
     Slot* slot = live_slot(top.id);
     if (slot == nullptr) continue;  // cancelled
+#if ICC_CHECKED_ENABLED
+    ICC_ASSERT(time > last_run_time_ || (time == last_run_time_ && slot->seq > last_run_seq_),
+               "event order: (time, insertion sequence) must strictly increase across "
+               "executed events (FIFO among equal times)");
+    last_run_time_ = time;
+    last_run_seq_ = slot->seq;
+#endif
     std::function<void()> fn = std::move(slot->fn);
     const EventTag tag = slot->tag;
     release(*slot, static_cast<std::uint32_t>(top.id & 0xffffffffu));
-    now_ = top.time;
+    now_ = time;
     execute(std::move(fn), tag);
   }
 }
 
 void Scheduler::run_until(Time end) {
   drain(end);
-  ICC_CHECK(!queue_.empty() || live_count_ == 0,
+  ICC_CHECK(queued_ > 0 || live_count_ == 0,
             "stale EventId: live slots remain after the queue drained");
   if (now_ < end) now_ = end;
 }

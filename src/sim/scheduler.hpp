@@ -5,6 +5,20 @@
 // protocol timers (AODV route expiry, MAC ack timeouts, voting-round
 // deadlines, ...) are retracted.
 //
+// The queue is a monotone radix queue. schedule_at clamps every event to the
+// clock, so no event is ever queued before the last one that ran, and an
+// event's time can be keyed by its IEEE-754 bit pattern, which orders
+// non-negative doubles as unsigned integers do (-0.0 is folded into +0.0).
+// Bucket b > 0 holds the entries whose key first differs from the base key
+// at bit b-1; bucket 0 holds the entries equal to the base, in arrival
+// order. Popping the lowest bucket moves the base to that bucket's minimum
+// and redistributes its entries stably into lower buckets, so equal times
+// stay FIFO without a sequence number, and each entry moves down at most 64
+// times however many events are pending. The base only ever moves to an
+// event that is about to run: run_until stops before committing a minimum
+// past its end, so an event scheduled later below that minimum still runs
+// first. Cancelled entries are deleted lazily, when they reach the front.
+//
 // An optional wall-clock profiler (enable_profiling, or ICC_PROFILE=1 via
 // World) measures events/second and the real time spent per event category,
 // so benches can report how fast the simulator itself runs. Profiling reads
@@ -13,9 +27,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "net/clock.hpp"
@@ -125,17 +139,22 @@ class Scheduler final : public net::Clock {
     EventTag tag{EventTag::kGeneric};
     std::uint32_t gen{1};
     bool live{false};
+#if ICC_CHECKED_ENABLED
+    std::uint64_t seq{0};  ///< insertion order, audited by drain
+#endif
   };
 
-  struct QueueEntry {
-    Time time;
-    std::uint64_t seq;
+  /// One queued event: the bit pattern of its time, and its id.
+  struct Entry {
+    std::uint64_t key;
     EventId id;
-    bool operator>(const QueueEntry& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
   };
+
+  /// The radix key of a (non-NaN, non-negative) time: its IEEE-754 bit
+  /// pattern, with -0.0 folded into +0.0.
+  [[nodiscard]] static std::uint64_t key_of(Time t) noexcept {
+    return t == 0.0 ? 0 : std::bit_cast<std::uint64_t>(t);
+  }
 
   [[nodiscard]] static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<EventId>(gen) << 32) | slot;  // gen >= 1, so id != kNoEvent
@@ -160,6 +179,17 @@ class Scheduler final : public net::Clock {
     --live_count_;
   }
 
+  /// File `entry` under the bucket its key selects relative to base_.
+  void place(const Entry& entry) {
+    if (entry.key == base_) {
+      buckets_[0].push_back(entry);
+      return;
+    }
+    const int bucket = 64 - std::countl_zero(entry.key ^ base_);
+    buckets_[static_cast<std::size_t>(bucket)].push_back(entry);
+    nonempty_ |= std::uint64_t{1} << (bucket - 1);
+  }
+
   /// The drain loop: pop the queue in (time, seq) order, executing every
   /// event with time at or before `last`. Leaves now_ at the last executed
   /// event.
@@ -169,14 +199,25 @@ class Scheduler final : public net::Clock {
 
   Time now_{0.0};
   TimerWarp warp_;
-  std::uint64_t next_seq_{1};
   std::uint64_t executed_{0};
   bool profiling_{false};
   SchedulerProfile profile_{};
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
+  /// buckets_[0]: entries keyed base_, popped from ready_head_ on in arrival
+  /// order; buckets_[b], b >= 1: entries whose key first differs from base_
+  /// at bit b-1, nonempty iff bit b-1 of nonempty_ is set.
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::size_t ready_head_{0};
+  std::uint64_t nonempty_{0};
+  std::uint64_t base_{0};
+  std::size_t queued_{0};  ///< entries in all buckets, cancelled ones included
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_{0};
+#if ICC_CHECKED_ENABLED
+  std::uint64_t next_seq_{1};
+  Time last_run_time_{0.0};
+  std::uint64_t last_run_seq_{0};
+#endif
 };
 
 }  // namespace icc::sim
